@@ -620,10 +620,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def exit_code_for(exc: BaseException) -> int:
-    """Exit-code mapping: validation -> 2, numerical -> 3."""
+    """Exit-code mapping: validation -> 2, numerical -> 3.
+
+    LAPACK failures (LinAlgError, a ValueError subclass) are numerical.
+    """
     if isinstance(exc, ValidationError):
         return 2
-    if isinstance(exc, NumericalError):
+    if isinstance(exc, (NumericalError, np.linalg.LinAlgError)):
         return 3
     if isinstance(exc, ValueError):
         return 2

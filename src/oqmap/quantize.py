@@ -22,12 +22,14 @@ digit and recycles the leading digit through the D x D matrix Omega_D
     e_{d0} ox e_{d1} ox ... ox e_{d_{k-1}}
         |->  e_{d1} ox ... ox e_{d_{k-1}} ox (Omega_D e_{d0}).
 
-This makes M^k = Omega_D^{otimes k} exactly, which is asserted at
-construction, and reduces the nontrivial spectrum to the keep x keep
-sub-block OmegaTilde_D: n^k nonzero eigenvalues whose moduli are
-products |mu_1|^{a/k} |mu_2|^{(k-a)/k} of the sub-block eigenvalue
-moduli, hence a k-independent spectral radius and a counting step at
-r_c = |det OmegaTilde_D|^{1/n}.
+The dense matrix is M = apply(I), built from this digit-shift apply at
+O(D N^2).  It makes M^k = Omega_D^{otimes k} exactly.  That identity is
+asserted at construction over the whole N x N matrix, with M^k formed
+by k-1 further applications at O(k D N^2).  It reduces the nontrivial
+spectrum to the keep x keep sub-block OmegaTilde_D: n^k nonzero
+eigenvalues whose moduli are products |mu_1|^{a/k} |mu_2|^{(k-a)/k} of
+the sub-block eigenvalue moduli, hence a k-independent spectral radius
+and a counting step at r_c = |det OmegaTilde_D|^{1/n}.
 
 Bloch phases: the plain DFT (theta = (0,0)) matches the displayed
 quantization; the antiperiodic choice (1/2, 1/2) is the convention under
@@ -55,7 +57,6 @@ from .errors import (
 
 __all__ = [
     "DENSE_GUARD",
-    "WALSH_GUARD",
     "QuantizationConfig",
     "QuantizedMap",
     "OpenQuantization",
@@ -70,8 +71,6 @@ __all__ = [
 
 # Dense complex storage and O(N^3) factorizations cap the practical size.
 DENSE_GUARD = 5000
-# The Walsh model is only examined at modest tensor dimensions.
-WALSH_GUARD = 20000
 
 
 @dataclass(frozen=True)
@@ -218,34 +217,44 @@ def _walsh_omega(D: int, keep: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     return omega, omega_tilde
 
 
+def _walsh_apply(omega: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for an (N, m) block X, at O(D N m) cost.
+
+    Rows are big-endian digit words (d0 d1 ... d_{k-1}): the leading digit
+    is recycled through Omega_D, then moved to the end of the word.
+    """
+    D = omega.shape[0]
+    N, m = X.shape
+    recycled = np.tensordot(omega, X.reshape(D, N // D, m), axes=(1, 0))
+    return np.moveaxis(recycled, 0, 1).reshape(N, m)
+
+
 def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     """Build the Walsh model and assert its defining power identity.
 
-    The map shifts the digit word left and feeds the recycled leading
-    digit through Omega_D; k applications touch every digit once, so
-    M^k = Omega_D^{otimes k} must hold to 1e-12 in max norm (checked).
+    The dense map is M = apply(I), where apply shifts the digit word left
+    and feeds the recycled leading digit through Omega_D.  k applications
+    touch every digit once, so M^k = Omega_D^{otimes k} must hold to 1e-12
+    in max norm over all N^2 entries (checked).  M^k is formed by k-1
+    further applications, at O(k D N^2).
     """
     spec = symmetric_spec(D, keep)  # validates D/keep and gives the digest
     keep_t = spec.keep
     if k < 1:
         raise ValueError(f"word length k must be >= 1, got {k}")
     N = D ** k
-    if N > WALSH_GUARD:
-        raise DimensionGuard(f"D^k = {N} exceeds Walsh guard {WALSH_GUARD}")
+    if N > DENSE_GUARD:
+        raise DimensionGuard(f"D^k = {N} exceeds dense guard {DENSE_GUARD}")
 
     omega, omega_tilde = _walsh_omega(D, keep_t)
 
-    # Column for word (d0 d1 ... d_{k-1}) (big-endian digits) has entries
-    # Omega[a, d0] at rows (d1 ... d_{k-1} a).
-    cols = np.arange(N)
-    high = D ** (k - 1)
-    lead = cols // high
-    base = (cols % high) * D
-    M = np.zeros((N, N), dtype=complex)
-    for a in range(D):
-        M[base + a, cols] = omega[a, lead]
-
-    power = np.linalg.matrix_power(M, k)
+    M = _walsh_apply(omega, np.eye(N, dtype=complex))
+    # BLAS leaves -0.0 where Omega meets the identity's zeros; adding +0.0
+    # turns them into +0.0, so M has the bits of a direct entry scatter
+    M += 0.0
+    power = M
+    for _ in range(k - 1):
+        power = _walsh_apply(omega, power)
     tensor = omega.copy()
     for _ in range(k - 1):
         tensor = np.kron(tensor, omega)

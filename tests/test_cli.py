@@ -88,6 +88,8 @@ class TestParsing:
         assert exit_code_for(ValidationError("x")) == 2
         assert exit_code_for(NumericalError("x")) == 3
         assert exit_code_for(ValueError("x")) == 2
+        # LinAlgError subclasses ValueError but is a numerical failure
+        assert exit_code_for(np.linalg.LinAlgError("x")) == 3
         with pytest.raises(KeyError):
             exit_code_for(KeyError("boom"))
 
@@ -303,6 +305,19 @@ class TestWalsh:
     def test_guard_exits_2(self, tmp_path):
         assert run(["walsh", "--branches", "3", "--keep", "0,2",
                     "--word-length", "10", "--outdir", tmp_path]) == 2
+
+    def test_dense_guard_exits_2(self, tmp_path):
+        # 3^8 = 6561 lies above the dense guard of the eigensolver
+        assert run(["walsh", "--branches", "3", "--keep", "0,2",
+                    "--word-length", "8", "--outdir", tmp_path]) == 2
+
+    def test_lapack_failure_exits_3(self, tmp_path, monkeypatch):
+        def broken_det(a):
+            raise np.linalg.LinAlgError("simulated LAPACK failure")
+
+        monkeypatch.setattr(np.linalg, "det", broken_det)
+        assert run(["walsh", "--branches", "3", "--keep", "0,2",
+                    "--word-length", "3", "--outdir", tmp_path]) == 3
 
 
 class TestEffective:

@@ -8,6 +8,7 @@ are small enough to solve by hand (2x2 quadratic formula).
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from oqmap.errors import (
     DivisibilityError,
     LengthMismatch,
     ParityNotExact,
+    SolverFailure,
 )
 
 from conftest import get_quantization, get_walsh, get_walsh_spectrum
@@ -38,6 +40,21 @@ from conftest import get_quantization, get_walsh, get_walsh_spectrum
 def unitarity_defect(U: np.ndarray) -> float:
     N = U.shape[0]
     return float(np.abs(U.conj().T @ U - np.eye(N)).max())
+
+
+def walsh_scatter(omega: np.ndarray, k: int) -> np.ndarray:
+    """Reference Walsh map, entry by entry: the column for the big-endian
+    word (d0 d1 ... d_{k-1}) holds Omega[a, d0] at row (d1 ... d_{k-1} a)."""
+    D = omega.shape[0]
+    N = D ** k
+    cols = np.arange(N)
+    high = D ** (k - 1)
+    lead = cols // high
+    base = (cols % high) * D
+    M = np.zeros((N, N), dtype=complex)
+    for a in range(D):
+        M[base + a, cols] = omega[a, lead]
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +177,39 @@ class TestWalsh:
         assert abs(abs(det) - 1 / math.sqrt(3)) <= 1e-15
 
     def test_power_identity_externally(self):
-        model = get_walsh(3, (0, 2), 4)
-        tensor = model.omega
-        for _ in range(3):
-            tensor = np.kron(tensor, model.omega)
-        power = np.linalg.matrix_power(model.open_map.matrix, 4)
-        assert np.abs(power - tensor).max() <= 1e-12
+        for D, keep, k in ((3, (0, 2), 4), (4, (0, 1, 3), 4), (5, (1, 3), 3)):
+            model = get_walsh(D, keep, k)
+            tensor = model.omega
+            for _ in range(k - 1):
+                tensor = np.kron(tensor, model.omega)
+            power = np.linalg.matrix_power(model.open_map.matrix, k)
+            assert np.abs(power - tensor).max() <= 1e-12
+
+    @pytest.mark.parametrize("D,keep,k", [
+        (3, (0, 2), 4), (3, (0, 2), 7), (4, (0, 2), 3), (4, (0, 1, 3), 5),
+        (5, (1, 3), 4), (6, (1, 4), 4), (6, (0, 2, 4), 4),
+        *[(3, (0, 2), k) for k in range(1, 7)],
+    ])
+    def test_apply_build_matches_scatter(self, D, keep, k):
+        model = walsh_open(D, keep, k)
+        want = walsh_scatter(model.omega, k)
+        got = model.open_map.matrix
+        assert np.array_equal(got, want)
+        # same bits, signed zeros included
+        assert got.tobytes() == want.tobytes()
+
+    def test_corrupted_apply_fails_self_check(self, monkeypatch):
+        # Omega_D on the leading digit without the digit shift builds
+        # Omega_D (x) I, whose k-th power is not Omega_D^{(x) k}
+        def no_shift(omega, X):
+            D = omega.shape[0]
+            N, m = X.shape
+            return np.tensordot(omega, X.reshape(D, N // D, m),
+                                axes=(1, 0)).reshape(N, m)
+
+        monkeypatch.setattr("oqmap.quantize._walsh_apply", no_shift)
+        with pytest.raises(SolverFailure):
+            walsh_open(3, (0, 2), 3)
 
     def test_nontrivial_count_small(self):
         for k in (1, 2, 3):
@@ -197,6 +241,17 @@ class TestWalsh:
     def test_dimension_guard(self):
         with pytest.raises(DimensionGuard):
             walsh_open(3, (0, 2), 10)  # 3^10 > guard
+
+    def test_dimension_guard_before_allocation(self):
+        # 3^8 = 6561 exceeds the dense guard; refused before any matrix
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionGuard):
+                walsh_open(3, (0, 2), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_word_length_validation(self):
         with pytest.raises(ValueError):
