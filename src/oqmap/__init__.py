@@ -72,7 +72,6 @@ from .quantize import (
     gdft,
     parity_split,
     quantize_open,
-    reflection_operator,
     walsh_open,
 )
 from .spectral import (
@@ -102,7 +101,7 @@ __all__ = [
     # quantize
     "OpenQuantization", "QuantizationConfig", "QuantizedMap", "WalshModel",
     "apply_diagonal_phases", "gdft", "parity_split", "quantize_open",
-    "reflection_operator", "walsh_open",
+    "walsh_open",
     # spectral
     "CountReport", "EffectiveHamiltonianReport", "Quasiprojector", "Spectrum",
     "WeylFit", "count_profile", "effective_hamiltonian", "eigen_decompose",

@@ -294,13 +294,14 @@ def admissible_words(spec: BakerSpec, length: int,
 
 def _refine_intervals(spec: BakerSpec, intervals: Sequence[Interval]) -> list:
     """One symbolic refinement: map each interval I to x_s + ell_s * I
-    for every kept symbol s.  Preserves exactness and sorted order."""
+    for every kept symbol s.  Preserves exactness.  Kept symbols ascend
+    and each maps [0, 1) onto its own rectangle [x_s, x_s + ell_s), so
+    sorted disjoint input gives sorted disjoint output without a sort."""
     out = []
     for s in spec.keep:
         x_s, ell_s = spec.partition[s], spec.lengths[s]
         for lo, hi in intervals:
             out.append((x_s + ell_s * lo, x_s + ell_s * hi))
-    out.sort()
     return out
 
 

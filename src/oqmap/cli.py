@@ -12,23 +12,19 @@ only where no exact-arithmetic guarantee is at stake (purely spectral
 commands), and are parsed as exact decimal fractions, never binary
 floats.  Dimension ranges use start:stop:step (stop inclusive); values
 failing the N*ell_i divisibility requirement are skipped and listed in
-the manifest.
-
-The environment variable OQMAP_THREADS caps the worker pool used to fan
-out independent dimensions (radius-scan, weyl-fit).
+the manifest.  Sweeps over dimensions run serially; BLAS threads are
+the only parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,10 +37,11 @@ from .classical import (
     thermo_report,
     validate_spec,
 )
-from .errors import NumericalError, ValidationError
+from .errors import DivisibilityError, NumericalError, ValidationError
 from .phasespace import CoherentFrame, husimi_report
 from .quantize import (
     QuantizationConfig,
+    _block_sizes,
     apply_diagonal_phases,
     quantize_open,
     walsh_open,
@@ -57,6 +54,7 @@ from .serialize import (
     write_husimi_pgm,
     write_intervals_csv,
     write_json,
+    write_lines,
     write_matrix,
     write_matrix_csv,
     write_spectrum_csv,
@@ -106,15 +104,25 @@ def parse_keep(text: str) -> Tuple[int, ...]:
         raise ValidationError(f"cannot parse keep set {text!r}") from exc
 
 
+def finite_float(token: str) -> float:
+    """A float token other than nan and +-inf.
+
+    Raises ValueError, which argparse turns into a usage error (exit 2).
+    """
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not a finite number")
+    return value
+
+
 def parse_bloch(text: str) -> Tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValidationError(f"bloch phases must be 'tx,txi', got {text!r}")
     try:
-        tx, txi = float(parts[0]), float(parts[1])
+        return finite_float(parts[0]), finite_float(parts[1])
     except ValueError as exc:
         raise ValidationError(f"cannot parse bloch phases {text!r}") from exc
-    return tx, txi
 
 
 def parse_dimensions(text: str) -> List[int]:
@@ -144,7 +152,8 @@ def parse_float_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValidationError(f"grid must be lo:hi:count, got {text!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = finite_float(parts[0]), finite_float(parts[1])
+        count = int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"cannot parse grid {text!r}") from exc
     if count < 1:
@@ -157,22 +166,8 @@ def _spec_from_args(args, allow_decimal: bool) -> BakerSpec:
                          parse_keep(args.keep))
 
 
-def _worker_count(jobs: int) -> int:
-    env = os.environ.get("OQMAP_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"OQMAP_THREADS={env!r} is not an integer") from exc
-        if cap < 1:
-            raise ValidationError(f"OQMAP_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, jobs))
-
-
 # ---------------------------------------------------------------------------
-# manifest plumbing
+# runner
 # ---------------------------------------------------------------------------
 
 def _echo_parameters(args) -> Dict[str, object]:
@@ -185,42 +180,44 @@ def _echo_parameters(args) -> Dict[str, object]:
     return echo
 
 
-def _finish(outdir: Path, command: str, args, digest: Optional[str],
-            seed: Optional[int], started: float, outputs: Sequence[Path],
-            skipped: Sequence[int] = ()) -> None:
+def _run(args) -> None:
+    """Run one subcommand in its outdir and write its manifest.
+
+    The manifest names every output with its SHA-256 and size, echoes the
+    parsed arguments, and is the only file that records the wall time.
+    """
+    started = time.perf_counter()
+    out = Path(args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs, digest, skipped = args.func(args, out)
     manifest = {
         "tool": "oqmap",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "parameters": _echo_parameters(args),
         "spec_digest": digest,
-        "seed": seed,
+        "seed": getattr(args, "phases_seed", None),
         "wall_time_s": time.perf_counter() - started,
         "outputs": [{"path": p.name, "sha256": sha256_file(p),
                      "bytes": p.stat().st_size} for p in outputs],
         "skipped_dimensions": list(skipped),
     }
-    write_json(outdir / f"{command.replace('-', '_')}_manifest.json", manifest)
-
-
-def _outdir(args) -> Path:
-    out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    write_json(out / f"{args.command.replace('-', '_')}_manifest.json",
+               manifest)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, outdir) and returns
+# (outputs, spec digest, skipped dimensions) for the manifest
 # ---------------------------------------------------------------------------
 
-def cmd_thermo(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_thermo(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=False)
     s_grid = parse_float_grid(args.s_grid) if args.s_grid else None
     report = thermo_report(spec, s_grid)
+    digest = spec_digest(spec)
     payload = {
-        "spec_digest": spec_digest(spec),
+        "spec_digest": digest,
         "partition": list(spec.partition),
         "keep": list(spec.keep),
         "s_grid": list(report.s_grid),
@@ -232,17 +229,15 @@ def cmd_thermo(args) -> None:
         "g_cl": report.g_cl,
         "convexity_ok": report.convexity_ok,
     }
-    outputs = [write_json(out / "thermo.json", payload)]
-    _finish(out, "thermo", args, spec_digest(spec), None, started, outputs)
+    return [write_json(out / "thermo.json", payload)], digest, ()
 
 
-def cmd_escape(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_escape(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=False)
     report = escape_report(spec, args.horizon)
+    digest = spec_digest(spec)
     payload = {
-        "spec_digest": spec_digest(spec),
+        "spec_digest": digest,
         "partition": list(spec.partition),
         "keep": list(spec.keep),
         "horizon": report.horizon,
@@ -255,16 +250,14 @@ def cmd_escape(args) -> None:
         write_intervals_csv(out / "escape_intervals.csv",
                             report.survivor_intervals),
     ]
-    _finish(out, "escape", args, spec_digest(spec), None, started, outputs)
+    return outputs, digest, ()
 
 
 def _quantize(spec: BakerSpec, N: int, bloch: Tuple[float, float]):
     return quantize_open(spec, QuantizationConfig(N, bloch))
 
 
-def cmd_spectrum(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_spectrum(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
     quantization = _quantize(spec, args.N, bloch)
@@ -276,8 +269,9 @@ def cmd_spectrum(args) -> None:
         if args.N <= 64:
             outputs.append(write_matrix_csv(out / "spectrum_matrix.csv",
                                             quantization.open_map.matrix))
+    digest = spec_digest(spec)
     payload = {
-        "spec_digest": spec_digest(spec),
+        "spec_digest": digest,
         "N": args.N,
         "bloch": list(bloch),
         "kind": quantization.open_map.kind,
@@ -286,22 +280,21 @@ def cmd_spectrum(args) -> None:
         "eigenvalue_count": spectrum.dimension,
     }
     outputs.append(write_json(out / "spectrum.json", payload))
-    _finish(out, "spectrum", args, spec_digest(spec), None, started, outputs)
+    return outputs, digest, ()
 
 
-def cmd_count(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_count(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
     nu = args.nu if args.nu is not None else cantor_dimension(spec)
     spectrum = eigen_decompose(_quantize(spec, args.N, bloch).open_map)
     report = count_profile(spectrum, parse_float_grid(args.r_grid), nu)
+    digest = spec_digest(spec)
     outputs = [
         write_counts_csv(out / "count.csv", report.radii, report.counts,
                          report.rescaled),
         write_json(out / "count.json", {
-            "spec_digest": spec_digest(spec),
+            "spec_digest": digest,
             "N": args.N,
             "bloch": list(bloch),
             "nu": report.nu,
@@ -309,77 +302,60 @@ def cmd_count(args) -> None:
             "spectral_radius": report.spectral_radius,
         }),
     ]
-    _finish(out, "count", args, spec_digest(spec), None, started, outputs)
+    return outputs, digest, ()
 
 
 def _admissible(spec: BakerSpec, dims: Sequence[int]) -> Tuple[List[int], List[int]]:
     good, skipped = [], []
     for N in dims:
-        if all((ell * N).denominator == 1 for ell in spec.lengths):
-            good.append(N)
-        else:
+        try:
+            _block_sizes(spec, N)
+        except DivisibilityError:
             skipped.append(N)
+        else:
+            good.append(N)
     return good, skipped
 
 
-def cmd_radius_scan(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def _sweep(spec: BakerSpec, dims: Sequence[int], bloch: Tuple[float, float],
+           measure: Callable[[np.ndarray], object]) -> List[Tuple[int, object]]:
+    """(N, measure(eigenvalue moduli)) for each N, one dense map at a time."""
+    samples = []
+    for N in dims:
+        spectrum = eigen_decompose(_quantize(spec, N, bloch).open_map)
+        samples.append((N, measure(np.abs(spectrum.eigenvalues))))
+    return samples
+
+
+def cmd_radius_scan(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
     dims, skipped = _admissible(spec, parse_dimensions(args.N))
     report = thermo_report(spec)
-    g_half, g_cl = report.g_half, report.g_cl
-
-    def radius_of(N: int) -> Tuple[int, float]:
-        spectrum = eigen_decompose(_quantize(spec, N, bloch).open_map)
-        return N, float(np.abs(spectrum.eigenvalues).max())
-
-    radii: Dict[int, float] = {}
-    if dims:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(dims))) as pool:
-            for N, r in pool.map(radius_of, dims):
-                radii[N] = r
-
+    bounds = f"{fmt_float(report.g_half)},{fmt_float(report.g_cl)}"
+    radii = _sweep(spec, dims, bloch, lambda moduli: float(moduli.max()))
     lines = ["N,r_sp,g_half,g_cl"]
-    for N in dims:
-        lines.append(f"{N},{fmt_float(radii[N])},{fmt_float(g_half)},"
-                     f"{fmt_float(g_cl)}")
-    csv_path = out / "radius_scan.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _finish(out, "radius-scan", args, spec_digest(spec), None, started,
-            [csv_path], skipped)
+    lines += [f"{N},{fmt_float(r)},{bounds}" for N, r in radii]
+    return ([write_lines(out / "radius_scan.csv", lines)], spec_digest(spec),
+            skipped)
 
 
-def cmd_weyl_fit(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_weyl_fit(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
     dims, skipped = _admissible(spec, parse_dimensions(args.N))
     radius = args.radius
     if not 0.0 < radius <= 1.1:
         raise ValidationError(f"radius must lie in (0, 1.1], got {radius}")
-
-    def count_at(N: int) -> Tuple[int, int]:
-        spectrum = eigen_decompose(_quantize(spec, N, bloch).open_map)
-        return N, int(np.count_nonzero(np.abs(spectrum.eigenvalues) >= radius))
-
-    samples: List[Tuple[int, int]] = []
-    if dims:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(dims))) as pool:
-            samples = sorted(pool.map(count_at, dims))
-
+    samples = _sweep(spec, dims, bloch,
+                     lambda moduli: int(np.count_nonzero(moduli >= radius)))
     fit = weyl_fit(samples, radius)
-    lines = ["N,count"]
-    for N, c in samples:
-        lines.append(f"{N},{c}")
-    csv_path = out / "weyl_fit_samples.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    digest = spec_digest(spec)
     outputs = [
-        csv_path,
+        write_lines(out / "weyl_fit_samples.csv",
+                    ["N,count"] + [f"{N},{c}" for N, c in samples]),
         write_json(out / "weyl_fit.json", {
-            "spec_digest": spec_digest(spec),
+            "spec_digest": digest,
             "radius": fit.radius,
             "nu_hat": fit.nu_hat,
             "nu_classical": cantor_dimension(spec),
@@ -389,13 +365,12 @@ def cmd_weyl_fit(args) -> None:
             "samples_dropped": [list(s) for s in fit.samples_dropped],
         }),
     ]
-    _finish(out, "weyl-fit", args, spec_digest(spec), None, started,
-            outputs, skipped)
+    return outputs, digest, skipped
 
 
-def cmd_walsh(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_walsh(args, out: Path):
+    if args.threshold < 0:
+        raise ValidationError(f"threshold must be >= 0, got {args.threshold}")
     keep = parse_keep(args.keep)
     model = walsh_open(args.branches, keep, args.word_length)
     qmap = model.open_map
@@ -423,12 +398,12 @@ def cmd_walsh(args) -> None:
         write_spectrum_csv(out / "walsh_spectrum.csv", spectrum.eigenvalues),
         write_json(out / "walsh.json", payload),
     ]
-    _finish(out, "walsh", args, qmap.digest, args.phases_seed, started, outputs)
+    return outputs, qmap.digest, ()
 
 
-def cmd_effective(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_effective(args, out: Path):
+    if args.probe_count < 1:
+        raise ValidationError(f"need at least one probe, got {args.probe_count}")
     spec = _spec_from_args(args, allow_decimal=False)
     bloch = parse_bloch(args.bloch)
     config = QuantizationConfig(args.N, bloch)
@@ -444,10 +419,9 @@ def cmd_effective(args) -> None:
         lines.append(f"{i},{fmt_float(eig.real)},{fmt_float(eig.imag)},"
                      f"{fmt_float(root.real)},{fmt_float(root.imag)},"
                      f"{fmt_float(abs(eig - root))}")
-    csv_path = out / "effective_roots.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    digest = spec_digest(spec)
     payload = {
-        "spec_digest": spec_digest(spec),
+        "spec_digest": digest,
         "N": args.N,
         "bloch": list(bloch),
         "cover_level": args.level,
@@ -464,15 +438,16 @@ def cmd_effective(args) -> None:
         "clustered": report.clustered,
         "residual_norms": list(report.residual_norms),
     }
-    outputs = [csv_path, write_json(out / "effective.json", payload)]
-    _finish(out, "effective", args, spec_digest(spec), None, started, outputs)
+    outputs = [write_lines(out / "effective_roots.csv", lines),
+               write_json(out / "effective.json", payload)]
+    return outputs, digest, ()
 
 
-def cmd_husimi(args) -> None:
-    started = time.perf_counter()
-    out = _outdir(args)
+def cmd_husimi(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=False)
     bloch = parse_bloch(args.bloch)
+    eps = (3.0 / math.sqrt(2.0 * math.pi * args.N) if args.thicken == "auto"
+           else finite_float(args.thicken))
     quantization = _quantize(spec, args.N, bloch)
     spectrum = eigen_decompose(quantization.open_map, want_vectors=True)
     if not 0 <= args.mode_rank < spectrum.dimension:
@@ -482,14 +457,12 @@ def cmd_husimi(args) -> None:
     mode = mode / np.linalg.norm(mode)
     eigenvalue = complex(spectrum.eigenvalues[args.mode_rank])
 
-    thicken = args.thicken
-    eps = (3.0 / math.sqrt(2.0 * math.pi * args.N) if thicken == "auto"
-           else float(thicken))
     frame = CoherentFrame(args.N, bloch)
     report = husimi_report(mode, frame, args.grid, spec, args.level, eps)
     modulus = abs(eigenvalue)
+    digest = spec_digest(spec)
     payload = {
-        "spec_digest": spec_digest(spec),
+        "spec_digest": digest,
         "N": args.N,
         "bloch": list(bloch),
         "mode_rank": args.mode_rank,
@@ -509,7 +482,7 @@ def cmd_husimi(args) -> None:
         write_husimi_pgm(out / "husimi.pgm", report.field),
         write_json(out / "husimi.json", payload),
     ]
-    _finish(out, "husimi", args, spec_digest(spec), None, started, outputs)
+    return outputs, digest, ()
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--bloch", default="0,0")
     p.add_argument("--r-grid", default="0.05:1.0:20")
-    p.add_argument("--nu", type=float, default=None,
+    p.add_argument("--nu", type=finite_float, default=None,
                    help="rescaling exponent (default: trapped-set dimension /2 "
                         "exponent of the x-Cantor set)")
     p.set_defaults(func=cmd_count)
@@ -573,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weyl-fit", help="fit the fractal Weyl exponent")
     _add_common(p)
     p.add_argument("--N", required=True, help="range start:stop:step")
-    p.add_argument("--radius", type=float, required=True,
+    p.add_argument("--radius", type=finite_float, required=True,
                    help="count eigenvalues with modulus >= radius")
     p.add_argument("--bloch", default="0,0")
     p.set_defaults(func=cmd_weyl_fit)
@@ -584,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-length", type=int, required=True, help="k, N = D^k")
     p.add_argument("--phases-seed", type=int, default=None,
                    help="seed for a random diagonal phase perturbation")
-    p.add_argument("--threshold", type=float, default=1e-8,
+    p.add_argument("--threshold", type=finite_float, default=1e-8,
                    help="modulus above which an eigenvalue counts as nontrivial")
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_walsh)
@@ -595,9 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--bloch", default="0,0")
     p.add_argument("--level", type=int, required=True, help="cover level m")
-    p.add_argument("--radius", type=float, required=True,
+    p.add_argument("--radius", type=finite_float, required=True,
                    help="annulus |lambda| >= radius to re-derive from det E")
-    p.add_argument("--probe-radius", type=float, default=1.5)
+    p.add_argument("--probe-radius", type=finite_float, default=1.5)
     p.add_argument("--probe-count", type=int, default=8)
     p.add_argument("--m-max", type=int, default=6,
                    help="residual norms ||(I-Pi)M^m|| reported for m=1..m_max")
@@ -634,10 +607,9 @@ def exit_code_for(exc: BaseException) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        _run(args)
     except (ValidationError, NumericalError, ValueError) as exc:
         print(f"oqmap: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -103,7 +103,6 @@ class HusimiField:
     x_centers: np.ndarray
     xi_centers: np.ndarray
     values: np.ndarray
-    normalization: float
 
     @property
     def grid_mean(self) -> float:
@@ -153,7 +152,7 @@ def husimi_field(state: np.ndarray, frame: CoherentFrame,
         # states are normalized exactly; the lattice phase drops out of
         # |psi_j| so norms come from S alone and the prefactor cancels
         values[:, b] = N * np.abs(overlaps) ** 2 / norms_sq
-    return HusimiField(x_centers, xi_centers, values, float(N))
+    return HusimiField(x_centers, xi_centers, values)
 
 
 def merged_strip_cover(spec: BakerSpec, level: int,

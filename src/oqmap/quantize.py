@@ -64,7 +64,6 @@ __all__ = [
     "gdft",
     "quantize_open",
     "walsh_open",
-    "reflection_operator",
     "parity_split",
     "apply_diagonal_phases",
 ]
@@ -270,11 +269,6 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
 # symmetry and perturbations
 # ---------------------------------------------------------------------------
 
-def reflection_operator(N: int) -> np.ndarray:
-    """Parity on the position lattice: j -> N-1-j (anti-identity)."""
-    return np.eye(N)[::-1].copy()
-
-
 def parity_split(qmap: QuantizedMap) -> Tuple[np.ndarray, np.ndarray, float]:
     """Compress an open map onto the +-1 eigenspaces of the reflection.
 
@@ -318,31 +312,17 @@ def parity_split(qmap: QuantizedMap) -> Tuple[np.ndarray, np.ndarray, float]:
     m_odd = basis_odd.T @ M @ basis_odd
 
     # the split must be lossless: spectra of the blocks reassemble spec(M)
+    from .spectral import match_spectra  # spectral imports this module
+
     full = np.sort_complex(np.linalg.eigvals(M))
     parts = np.sort_complex(np.concatenate([
         np.linalg.eigvals(m_even), np.linalg.eigvals(m_odd)]))
-    unmatched = _count_unmatched(full, parts, tol=1e-6)
+    _, lost, extra = match_spectra(full, parts, tol=1e-6)
+    unmatched = len(lost) + len(extra)
     if unmatched:
         raise SolverFailure(
             f"parity blocks lost {unmatched} eigenvalues beyond tolerance 1e-6")
     return m_even, m_odd, commutator_norm
-
-
-def _count_unmatched(a: np.ndarray, b: np.ndarray, tol: float) -> int:
-    """Greedy nearest-neighbour multiset comparison; returns unmatched count."""
-    b_free = list(b)
-    misses = 0
-    for z in a:
-        if not b_free:
-            misses += 1
-            continue
-        dist = [abs(z - w) for w in b_free]
-        jmin = int(np.argmin(dist))
-        if dist[jmin] <= tol:
-            b_free.pop(jmin)
-        else:
-            misses += 1
-    return misses + len(b_free)
 
 
 def apply_diagonal_phases(qmap: Union[QuantizedMap, np.ndarray],

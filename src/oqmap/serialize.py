@@ -33,6 +33,7 @@ __all__ = [
     "fraction_from_json",
     "json_ready",
     "write_json",
+    "write_lines",
     "write_matrix",
     "read_matrix",
     "write_matrix_csv",
@@ -86,11 +87,16 @@ def json_ready(obj):
     return obj
 
 
-def write_json(path: PathLike, payload) -> Path:
+def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
+    """UTF-8 text, each line ended by LF."""
     path = Path(path)
-    text = json.dumps(json_ready(payload), sort_keys=True, indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def write_json(path: PathLike, payload) -> Path:
+    return write_lines(path, [json.dumps(json_ready(payload), sort_keys=True,
+                                         indent=2)])
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +141,7 @@ def write_matrix_csv(path: PathLike, matrix: np.ndarray) -> Path:
         for c in range(M.shape[1]):
             z = M[r, c]
             lines.append(f"{r},{c},{fmt_float(z.real)},{fmt_float(z.imag)}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +154,7 @@ def write_intervals_csv(path: PathLike,
     for lo, hi in intervals:
         lines.append(f"{lo.numerator},{lo.denominator},"
                      f"{hi.numerator},{hi.denominator}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 def write_spectrum_csv(path: PathLike, eigenvalues: Sequence[complex]) -> Path:
@@ -164,9 +166,7 @@ def write_spectrum_csv(path: PathLike, eigenvalues: Sequence[complex]) -> Path:
         tau = math.inf if modulus == 0.0 else -2.0 * math.log(modulus) + 0.0
         lines.append(f"{i},{fmt_float(z.real)},{fmt_float(z.imag)},"
                      f"{fmt_float(modulus)},{fmt_float(tau)}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 def write_counts_csv(path: PathLike, radii: Sequence[float],
@@ -174,9 +174,7 @@ def write_counts_csv(path: PathLike, radii: Sequence[float],
     lines = ["r,count,rescaled"]
     for r, c, s in zip(radii, counts, rescaled):
         lines.append(f"{fmt_float(r)},{int(c)},{fmt_float(s)}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 def write_husimi_csv(path: PathLike, field: HusimiField) -> Path:
@@ -185,9 +183,7 @@ def write_husimi_csv(path: PathLike, field: HusimiField) -> Path:
     for a, x in enumerate(field.x_centers):
         for b, xi in enumerate(field.xi_centers):
             lines.append(f"{fmt_float(x)},{fmt_float(xi)},{fmt_float(field.values[a, b])}")
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 def write_husimi_pgm(path: PathLike, field: HusimiField,
@@ -210,9 +206,7 @@ def write_husimi_pgm(path: PathLike, field: HusimiField,
         grey = np.rint(255.0 * (np.log(clipped / floor)) / log_span).astype(int)
     for row in range(gxi - 1, -1, -1):  # top row of pixels = largest xi
         lines.append(" ".join(str(int(g)) for g in grey[:, row]))
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 def sha256_file(path: PathLike) -> str:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,13 +28,12 @@ from .classical import BakerSpec, trapped_cover
 from .errors import (
     CoverTooFine,
     DimensionGuard,
-    DivisibilityError,
     InsufficientSamples,
     ProbeInsideBulkSpectrum,
     SingularResolvent,
     SolverFailure,
 )
-from .quantize import DENSE_GUARD, QuantizationConfig, QuantizedMap
+from .quantize import DENSE_GUARD, QuantizationConfig, QuantizedMap, _block_sizes
 
 __all__ = [
     "Spectrum",
@@ -76,7 +74,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     vectors: Optional[np.ndarray]
     backward_error: float
-    provenance: str
 
     @property
     def dimension(self) -> int:
@@ -102,7 +99,7 @@ def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
     if vectors is not None:
         vectors = vectors[:, order]
     bound = 4.0 * N * np.finfo(float).eps * float(np.linalg.norm(M, "fro"))
-    return Spectrum(values, vectors, bound, "qr-eigensolver")
+    return Spectrum(values, vectors, bound)
 
 
 def spectral_radius(matrix: MatrixLike) -> float:
@@ -225,10 +222,7 @@ def trapped_quasiprojector(spec: BakerSpec, config: QuantizationConfig,
     whenever every strip width is a lattice multiple.
     """
     N = config.dimension
-    for i, ell in enumerate(spec.lengths):
-        if (ell * N).denominator != 1:
-            raise DivisibilityError(
-                f"N={N} is incompatible with ell_{i}={ell}: N*ell not an integer")
+    _block_sizes(spec, N)  # raises DivisibilityError unless N*ell_i are integers
     if level == 0:
         return Quasiprojector(np.ones(N), 0, N)
     if level < 0:
@@ -430,6 +424,9 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     spectrum by a 1e-6 margin, else the reduction is meaningless and
     ProbeInsideBulkSpectrum is raised.
     """
+    probes = tuple(complex(p) for p in probes)
+    if not probes:
+        raise ValueError("the determinant identity needs at least one probe")
     M = _as_matrix(matrix)
     N = M.shape[0]
     A, B, C, D = _blocks(M, projector)
@@ -438,7 +435,6 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     bulk_eigs = np.linalg.eigvals(D) if D.shape[0] else np.zeros(0, dtype=complex)
     r_bulk = float(np.abs(bulk_eigs).max()) if bulk_eigs.size else 0.0
     margin = r_bulk + 1e-6
-    probes = tuple(complex(p) for p in probes)
     for p in probes:
         if abs(p) <= margin:
             raise ProbeInsideBulkSpectrum(
@@ -510,7 +506,7 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
         determinant_effective=tuple(det_eff),
         determinant_bulk=tuple(det_bulk),
         identity_rel_errors=tuple(rel_errors),
-        max_identity_rel_error=max(rel_errors) if rel_errors else 0.0,
+        max_identity_rel_error=max(rel_errors),
         outer_eigenvalues=outer,
         refined_roots=tuple(roots),
         match_distances=distances,

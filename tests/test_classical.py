@@ -29,6 +29,7 @@ from oqmap import (
     validate_spec,
     word_interval,
 )
+from oqmap.classical import _level_intervals
 from oqmap.errors import (
     EmptyOrFullKeepSet,
     EndpointMismatch,
@@ -228,6 +229,17 @@ class TestTrappedCover:
         cover = trapped_cover(spec, 3, "K_minus")
         assert cover.x_intervals == ((Fraction(0), Fraction(1, 8)),)
         assert cover.measure == Fraction(1, 8)
+
+    @pytest.mark.parametrize("partition,keep,level", [
+        ((0, Fraction(1, 2), Fraction(3, 4), 1), (0, 2), 6),
+        ((0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1), (0, 1, 3), 5),
+    ])
+    def test_level_intervals_ascend_disjoint(self, partition, keep, level):
+        # refinement keeps the order without sorting, also for unequal widths
+        intervals = _level_intervals(validate_spec(partition, keep), level)
+        assert len(intervals) == len(keep) ** level
+        assert all(lo < hi for lo, hi in intervals)
+        assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
 
     def test_forward_strips_live_in_xi(self, spec3):
         cover = trapped_cover(spec3, 1, "K_plus")

@@ -11,6 +11,7 @@ import pytest
 
 from oqmap.cli import (
     exit_code_for,
+    finite_float,
     main,
     parse_bloch,
     parse_dimensions,
@@ -20,6 +21,8 @@ from oqmap.cli import (
 )
 from oqmap.errors import NumericalError, ValidationError
 from oqmap.serialize import read_matrix, sha256_file
+
+from test_acceptance import CLI_RUNS
 
 D3 = ["--partition", "0,1/3,2/3,1", "--keep", "0,2"]
 D5 = ["--partition", "0,1/5,2/5,3/5,4/5,1", "--keep", "1,3"]
@@ -31,6 +34,14 @@ def run(argv):
 
 def load(path):
     return json.loads(path.read_text())
+
+
+def exit_status(argv):
+    """The process exit code: argparse usage errors raise SystemExit."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +94,16 @@ class TestParsing:
             parse_float_grid("0.0:1.0")
         with pytest.raises(ValidationError):
             parse_float_grid("0:1:0")
+        with pytest.raises(ValidationError):
+            parse_float_grid("nan:1:3")
+
+    def test_finite_float(self):
+        assert finite_float("1e-8") == 1e-8
+        for token in ("nan", "inf", "-inf", "Infinity", "x"):
+            with pytest.raises(ValueError):
+                finite_float(token)
+        with pytest.raises(ValidationError):
+            parse_bloch("nan,0")
 
     def test_exit_codes(self):
         assert exit_code_for(ValidationError("x")) == 2
@@ -225,8 +246,7 @@ class TestCount:
 
 
 class TestRadiusScan:
-    def test_skips_indivisible_dimensions(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OQMAP_THREADS", "2")
+    def test_skips_indivisible_dimensions(self, tmp_path):
         assert run(["radius-scan", *D5, "--N", "50:60:2",
                     "--outdir", tmp_path]) == 0
         lines = (tmp_path / "radius_scan.csv").read_text().splitlines()
@@ -239,20 +259,6 @@ class TestRadiusScan:
         assert g_half == pytest.approx(2 / math.sqrt(5), abs=1e-12)
         assert g_cl == pytest.approx(math.sqrt(0.4), abs=1e-12)
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("OQMAP_THREADS", "1")
-        assert run(["radius-scan", *D3, "--N", "3:9:3", "--outdir", a]) == 0
-        monkeypatch.setenv("OQMAP_THREADS", "3")
-        assert run(["radius-scan", *D3, "--N", "3:9:3", "--outdir", b]) == 0
-        assert (a / "radius_scan.csv").read_bytes() \
-            == (b / "radius_scan.csv").read_bytes()
-
-    def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OQMAP_THREADS", "abc")
-        assert run(["radius-scan", *D3, "--N", "27", "--outdir", tmp_path]) == 2
-        monkeypatch.setenv("OQMAP_THREADS", "0")
-        assert run(["radius-scan", *D3, "--N", "27", "--outdir", tmp_path]) == 2
 
 
 class TestWeylFit:
@@ -383,3 +389,48 @@ class TestDeterminism:
         ma.pop("wall_time_s"), mb.pop("wall_time_s")
         ma["parameters"].pop("outdir"), mb["parameters"].pop("outdir")
         assert ma == mb
+
+
+# ---------------------------------------------------------------------------
+# ill-posed numbers and the runner
+# ---------------------------------------------------------------------------
+
+WALSH3 = ["walsh", "--branches", "3", "--keep", "0,2", "--word-length", "3"]
+EFFECTIVE = ["effective", *D5, "--N", "125", "--level", "2", "--radius", "0.5"]
+HUSIMI = ["husimi", *D3, "--N", "27", "--level", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", *D3, "--N", "27", "--nu", "nan"],
+    ["count", *D3, "--N", "27", "--nu", "inf"],
+    ["count", *D3, "--N", "27", "--bloch", "nan,0"],
+    [*HUSIMI, "--thicken", "nan"],
+    [*HUSIMI, "--thicken", "inf"],
+    ["effective", *D5, "--N", "125", "--level", "2", "--radius", "nan"],
+    [*EFFECTIVE, "--probe-count", "0"],
+    [*EFFECTIVE, "--probe-count", "-3"],
+    [*EFFECTIVE, "--probe-radius", "nan"],
+    [*WALSH3, "--threshold", "nan"],
+    [*WALSH3, "--threshold", "-1"],
+    ["thermo", *D3, "--s-grid", "nan:1:3"],
+    ["weyl-fit", *D3, "--N", "27:135:27", "--radius", "inf"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_non_finite_or_vacuous_input_exits_2(tmp_path, argv):
+    out = tmp_path / "out"
+    assert exit_status([*argv, "--outdir", out]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name,argv", CLI_RUNS, ids=[n for n, _ in CLI_RUNS])
+def test_manifest_lists_every_output(tmp_path, name, argv):
+    assert run([*argv, "--outdir", tmp_path]) == 0
+    manifest_name = f"{name.replace('-', '_')}_manifest.json"
+    manifest = load(tmp_path / manifest_name)
+    assert manifest["command"] == name
+    assert "func" not in manifest["parameters"]
+    on_disk = {p.name for p in tmp_path.iterdir()} - {manifest_name}
+    listed = {entry["path"]: entry for entry in manifest["outputs"]}
+    assert set(listed) == on_disk
+    for fname, entry in listed.items():
+        assert entry["sha256"] == sha256_file(tmp_path / fname)
+        assert entry["bytes"] == (tmp_path / fname).stat().st_size

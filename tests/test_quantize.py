@@ -21,7 +21,6 @@ from oqmap import (
     match_spectra,
     parity_split,
     quantize_open,
-    reflection_operator,
     symmetric_spec,
     walsh_open,
 )
@@ -269,10 +268,6 @@ class TestWalsh:
 # ---------------------------------------------------------------------------
 
 class TestParity:
-    def test_reflection_operator(self):
-        R = reflection_operator(4)
-        assert np.array_equal(R, np.eye(4)[::-1])
-
     def test_commutator_small_dimensions_first(self):
         # establish the phenomenon at hand-checkable sizes before relying
         # on it at production sizes
@@ -317,6 +312,18 @@ class TestParity:
     def test_asymmetric_partition_rejected(self, asym_spec):
         qmap = quantize_open(asym_spec, QuantizationConfig(16, (0.5, 0.5))).open_map
         with pytest.raises(AsymmetricSpec):
+            parity_split(qmap)
+
+    def test_lost_eigenvalue_fails_the_split(self, monkeypatch):
+        # the reassembly check runs through spectral.match_spectra
+        import oqmap.spectral
+
+        def lose_one(reference, candidate, tol):
+            return [], [reference[0]], []
+
+        monkeypatch.setattr(oqmap.spectral, "match_spectra", lose_one)
+        qmap = get_quantization("D3", 27, (0.5, 0.5)).open_map
+        with pytest.raises(SolverFailure, match="lost 1 eigenvalues"):
             parity_split(qmap)
 
     def test_walsh_map_has_no_rectangles_to_reflect(self):

@@ -162,7 +162,7 @@ class TestCsvSchemas:
 
     def test_husimi_csv(self, tmp_path):
         field = HusimiField(np.array([0.25, 0.75]), np.array([0.5]),
-                            np.array([[1.0], [2.0]]), 2.0)
+                            np.array([[1.0], [2.0]]))
         path = write_husimi_csv(tmp_path / "h.csv", field)
         assert path.read_text() == (
             "x,xi,value\n0.25,0.5,1\n0.75,0.5,2\n")
@@ -173,7 +173,7 @@ class TestPgm:
         gx, gxi = values.shape
         return HusimiField((np.arange(gx) + 0.5) / gx,
                            (np.arange(gxi) + 0.5) / gxi,
-                           values, float(gx))
+                           values)
 
     def test_header_and_scale(self, tmp_path):
         values = np.zeros((32, 32))

@@ -295,6 +295,13 @@ class TestEffectiveHamiltonian:
         with pytest.raises(ProbeInsideBulkSpectrum):
             effective_hamiltonian(M, quasi.diagonal, probe_ring(1.5), 0.01)
 
+    def test_no_probes_rejected(self, spec5):
+        # an identity checked at no probe would pass vacuously
+        M = get_quantization("D5", 125).open_map
+        quasi = trapped_quasiprojector(spec5, QuantizationConfig(125), 2)
+        with pytest.raises(ValueError, match="at least one probe"):
+            effective_hamiltonian(M, quasi.diagonal, [], 0.5)
+
     def test_singular_resolvent_guard(self):
         one = np.ones((1, 1), dtype=complex)
         with pytest.raises(SingularResolvent):
