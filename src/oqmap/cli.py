@@ -38,7 +38,7 @@ from .classical import (
     validate_spec,
 )
 from .errors import DivisibilityError, NumericalError, ValidationError
-from .phasespace import CoherentFrame, husimi_report
+from .phasespace import CoherentFrame, _validate_grid, husimi_report
 from .quantize import (
     QuantizationConfig,
     _block_sizes,
@@ -60,6 +60,7 @@ from .serialize import (
     write_spectrum_csv,
 )
 from .spectral import (
+    _check_m_max,
     count_profile,
     effective_hamiltonian,
     eigen_decompose,
@@ -404,6 +405,7 @@ def cmd_walsh(args, out: Path):
 def cmd_effective(args, out: Path):
     if args.probe_count < 1:
         raise ValidationError(f"need at least one probe, got {args.probe_count}")
+    _check_m_max(args.m_max)
     spec = _spec_from_args(args, allow_decimal=False)
     bloch = parse_bloch(args.bloch)
     config = QuantizationConfig(args.N, bloch)
@@ -444,6 +446,7 @@ def cmd_effective(args, out: Path):
 
 
 def cmd_husimi(args, out: Path):
+    _validate_grid(args.grid)
     spec = _spec_from_args(args, allow_decimal=False)
     bloch = parse_bloch(args.bloch)
     eps = (3.0 / math.sqrt(2.0 * math.pi * args.N) if args.thicken == "auto"

@@ -14,7 +14,15 @@ microscope at sigma = 1.
 
 The Husimi field samples H(x, xi) = N |<coh(x, xi), u>|^2 on a grid of
 cell centres, so that the plain grid average of the stored values
-estimates ||u||^2 (resolution of identity).  Localization onto the
+estimates ||u||^2 (resolution of identity).  Along each x-row the
+overlaps are one length-gxi FFT of the Gaussian-windowed state folded
+modulo the grid (Nonnenmacher-Rubin, Nonlinearity 20 (2007) 1387), and
+the coherent-state norms come from the row's (2W+1)^2 image Gram
+matrix: O(gx (N W + gxi log gxi)) per state instead of the direct sum's
+O(gx gxi N W), streamed one row at a time.  Every phase argument is
+reduced modulo an exact integer period before it is exponentiated.
+Grids are refused above DENSE_GUARD cells per axis, before any
+allocation.  Localization onto the
 backward-trapped set K+ = [0,1) x Can is quantified by the mass the
 field puts on an epsilon-thickened level-m strip cover of the xi-Cantor
 set, compared against the Lebesgue area of the same region: long-lived
@@ -30,7 +38,8 @@ from typing import Tuple, Union
 import numpy as np
 
 from .classical import BakerSpec, trapped_cover
-from .errors import UnnormalizedInput
+from .errors import DimensionGuard, UnnormalizedInput
+from .quantize import DENSE_GUARD
 
 __all__ = [
     "CoherentFrame",
@@ -113,12 +122,33 @@ def _validate_grid(grid: Union[int, Tuple[int, int]]) -> Tuple[int, int]:
     gx, gxi = (grid, grid) if isinstance(grid, int) else (int(grid[0]), int(grid[1]))
     if gx < MIN_GRID or gxi < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID} cells per axis")
+    if gx > DENSE_GUARD or gxi > DENSE_GUARD:
+        raise DimensionGuard(f"grid {gx} x {gxi} exceeds {DENSE_GUARD} cells per axis")
     return gx, gxi
+
+
+def _half_cell_twist(n: np.ndarray, gxi: int) -> np.ndarray:
+    """e^{-i pi n/gxi}, its argument reduced modulo the period 2 gxi."""
+    return np.exp(-1j * np.pi * (n % (2 * gxi)) / gxi)
 
 
 def husimi_field(state: np.ndarray, frame: CoherentFrame,
                  grid: Union[int, Tuple[int, int]] = 64) -> HusimiField:
-    """Sample the Husimi distribution of a unit vector on a centred grid."""
+    """Sample the Husimi distribution of a unit vector on a centred grid.
+
+    With n = j + wN on the extended lattice, the overlap at cell
+    (x_a, xi_b), xi_b = (b + 1/2)/gxi, is up to a unimodular factor
+
+        sum_n g_a(n) u_{n mod N} e^{-i pi n/gxi} e^{-2 pi i b n/gxi},
+
+    g_a the Gaussian envelope of row a: the state, windowed and shifted
+    by half a cell, folded modulo gxi and transformed by one length-gxi
+    FFT.  The squared norms of the unnormalized coherent states are
+    sum_d c_a(d) cos(2 pi xi_b d N) over image offsets d, c_a(d) the d-th
+    diagonal sum of the (2W+1)^2 Gram matrix of row a's image envelopes.
+    Phases are reduced modulo their integer periods before the cosine or
+    exponential is taken.
+    """
     u = np.asarray(state, dtype=complex)
     N = frame.dimension
     if u.shape != (N,):
@@ -130,28 +160,34 @@ def husimi_field(state: np.ndarray, frame: CoherentFrame,
 
     x_centers = (np.arange(gx) + 0.5) / gx
     xi_centers = (np.arange(gxi) + 0.5) / gxi
-    x = frame.lattice
-    sigma = frame.squeeze
+    W = frame.image_radius
+    images = 2 * W + 1
 
-    # Gaussian envelopes per periodization image: T_w[a, j] without the
-    # xi-dependent phases, which factor out per grid column below.
-    images = range(-frame.image_radius, frame.image_radius + 1)
-    envelopes = [np.exp(-np.pi * N * (x[None, :] + w - x_centers[:, None]) ** 2
-                        / sigma) for w in images]
+    # extended lattice n = -WN .. (W+1)N - 1, padded at both ends to
+    # whole periods of gxi so that the fold is a reshape and a sum
+    lead = (-W * N) % gxi
+    span = -(-(lead + images * N) // gxi) * gxi
+    n = np.arange(span) - W * N - lead
+    windowed = np.zeros(span, dtype=complex)
+    windowed[lead:lead + images * N] = np.tile(u, images) \
+        * _half_cell_twist(n[lead:lead + images * N], gxi)
+    # cos(2 pi xi_b d N) = cos(pi ((2b + 1) d N mod 2 gxi) / gxi)
+    offsets = np.arange(1, images)
+    cosines = np.cos(np.pi * ((2 * np.arange(gxi)[None, :] + 1) * offsets[:, None] * N
+                              % (2 * gxi)) / gxi)
 
-    values = np.empty((gx, gxi))
-    for b, xi0 in enumerate(xi_centers):
-        # S[a, j] = sum_w T_w[a, j] e^{2 pi i N xi0 w}
-        S = np.zeros((gx, N), dtype=complex)
-        for T, w in zip(envelopes, images):
-            S += T * np.exp(2j * np.pi * N * xi0 * w)
-        lattice_phase = np.exp(2j * np.pi * N * xi0 * x)
-        overlaps = S.conj() @ (np.conj(lattice_phase) * u)
-        norms_sq = np.einsum("aj,aj->a", S.real, S.real) \
-            + np.einsum("aj,aj->a", S.imag, S.imag)
-        # states are normalized exactly; the lattice phase drops out of
-        # |psi_j| so norms come from S alone and the prefactor cancels
-        values[:, b] = N * np.abs(overlaps) ** 2 / norms_sq
+    shift = n + frame.bloch[0]
+    folded = np.empty((gx, gxi), dtype=complex)
+    norms_sq = np.empty((gx, gxi))
+    for a, x0 in enumerate(x_centers):
+        envelope = np.exp(-np.pi * (shift - N * x0) ** 2 / (N * frame.squeeze))
+        folded[a] = (envelope * windowed).reshape(-1, gxi).sum(axis=0)
+        T = envelope[lead:lead + images * N].reshape(images, N)
+        gram = T @ T.T
+        diagonals = np.array([np.trace(gram, d) for d in range(images)])
+        norms_sq[a] = diagonals[0] + 2.0 * diagonals[1:] @ cosines
+    # the prefactor of the states cancels between overlap and norm
+    values = N * np.abs(np.fft.fft(folded, axis=1)) ** 2 / norms_sq
     return HusimiField(x_centers, xi_centers, values)
 
 

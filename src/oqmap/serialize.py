@@ -180,9 +180,10 @@ def write_counts_csv(path: PathLike, radii: Sequence[float],
 def write_husimi_csv(path: PathLike, field: HusimiField) -> Path:
     """Columns (x, xi, value), x-major."""
     lines = ["x,xi,value"]
-    for a, x in enumerate(field.x_centers):
-        for b, xi in enumerate(field.xi_centers):
-            lines.append(f"{fmt_float(x)},{fmt_float(xi)},{fmt_float(field.values[a, b])}")
+    xs = [fmt_float(x) for x in field.x_centers]
+    xis = [fmt_float(xi) for xi in field.xi_centers]
+    for x, row in zip(xs, field.values.tolist()):
+        lines.extend(f"{x},{xi},{fmt_float(v)}" for xi, v in zip(xis, row))
     return write_lines(path, lines)
 
 

@@ -14,6 +14,15 @@ are the blocks of M in the splitting ran(Pi) + ran(I-Pi).  Outside the
 bulk spectrum (the eigenvalues of D) the factor (I - 1/lam D) is
 invertible, so every resonance with |lam| > r_bulk is exactly a zero of
 det E on the rank(Pi)-dimensional trapped subspace.
+
+An open map M = U Pi vanishes outside its kept columns, and so do D and
+every power of M.  The reduction and the residual norms run on those
+columns only: the bulk resolvent is applied through one solve with the
+J x J block of D on its nonzero columns J, the bulk radius and bulk
+determinant come from that block (Sylvester's identity), and powers of
+M are iterated on N x |nz| blocks.  The columns are read off the matrix,
+so dense inputs take the same path.  The full N x N determinant
+det(I - M/lam) stays the independent side of the identity check.
 """
 
 from __future__ import annotations
@@ -286,28 +295,43 @@ def _blocks(M: np.ndarray, projector: np.ndarray):
     return A, B, C, D
 
 
+def _nonzero_columns(matrix: np.ndarray) -> np.ndarray:
+    """Indices of the columns of a matrix that hold a nonzero entry."""
+    return np.flatnonzero(np.any(matrix != 0, axis=0))
+
+
+def _check_m_max(m_max: int) -> None:
+    if not 1 <= m_max <= 12:
+        raise ValueError(f"m_max must be in 1..12, got {m_max}")
+
+
 def residual_decay(matrix: MatrixLike, projector: np.ndarray,
                    m_max: int = 6) -> Tuple[float, ...]:
     """Operator norms ||(I - Pi) M^m||_2 for m = 1..m_max (m_max <= 12).
 
     Decay of this sequence is what licenses truncating the dynamics to
     ran(Pi): mass leaving the cover is never re-injected.
+
+    An open map M = U Pi vanishes outside its nonzero columns nz, and so
+    does every power: M^m[:, nz] = M^{m-1}[:, nz] M[nz, nz].  The powers
+    are iterated on these N x |nz| blocks; the zero columns leave the
+    2-norm unchanged.  nz is read off the matrix, so a dense input with
+    no zero column takes the same path.
     """
-    if not 1 <= m_max <= 12:
-        raise ValueError(f"m_max must be in 1..12, got {m_max}")
+    _check_m_max(m_max)
     M = _as_matrix(matrix)
     N = M.shape[0]
     kept, rest, V, W = _projector_split(projector, N)
+    nz = _nonzero_columns(M)
+    step = M[np.ix_(nz, nz)]
 
     norms = []
-    power = M.copy()
-    for _ in range(m_max):
-        if V is None:
-            complement = power[rest, :]
-        else:
-            complement = W.conj().T @ power
+    power = M[:, nz]
+    for m in range(1, m_max + 1):
+        complement = power[rest] if V is None else W.conj().T @ power
         norms.append(float(np.linalg.norm(complement, 2)) if complement.size else 0.0)
-        power = power @ M
+        if m < m_max:
+            power = power @ step
     return tuple(norms)
 
 
@@ -346,24 +370,40 @@ class EffectiveHamiltonianReport:
     match_tol: float
 
 
-def _effective_pieces(A, B, C, D, lam):
-    """E(lam), its lam-derivative, and the bulk resolvent R = (I-D/lam)^{-1}."""
+def _effective_pieces(A, B, C, D, lam, derivative=True):
+    """E(lam) and, when asked, its lam-derivative (else None).
+
+    The bulk resolvent R = (I - D/lam)^{-1} is never formed.  D vanishes
+    off its nonzero columns J, so R X = X + D[:, J] K^{-1} X[J] / lam
+    with K = I - D[J, J]/lam: one |J| x |J| solve against the columns
+    of X.
+    """
     k = A.shape[0]
-    nb = D.shape[0]
-    if nb == 0:
-        E = np.eye(k, dtype=complex) - A / lam
-        dE = A / lam ** 2
-        return E, dE
-    try:
-        R = np.linalg.solve(np.eye(nb, dtype=complex) - D / lam, np.eye(nb, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(f"bulk resolvent singular at probe {lam}") from exc
-    if not np.all(np.isfinite(R)):
-        raise SingularResolvent(f"bulk resolvent overflowed at probe {lam}")
-    BR = B @ R
-    BRC = BR @ C
-    E = np.eye(k, dtype=complex) - A / lam - BRC / lam ** 2
-    dE = A / lam ** 2 + 2.0 * BRC / lam ** 3 + (BR @ D @ R @ C) / lam ** 4
+    E = np.eye(k, dtype=complex) - A / lam
+    if D.shape[0] == 0:
+        return E, (A / lam ** 2 if derivative else None)
+    J = _nonzero_columns(D)
+    DJ = D[:, J]
+    K = np.eye(J.size, dtype=complex) - DJ[J] / lam
+
+    def resolve(X):
+        if J.size == 0:
+            return X
+        try:
+            Y = np.linalg.solve(K, X[J])
+        except np.linalg.LinAlgError as exc:
+            raise SingularResolvent(f"bulk resolvent singular at probe {lam}") from exc
+        if not np.all(np.isfinite(Y)):
+            raise SingularResolvent(f"bulk resolvent overflowed at probe {lam}")
+        return X + DJ @ Y / lam
+
+    RC = resolve(C)
+    BRC = B @ RC
+    E -= BRC / lam ** 2
+    if not derivative:
+        return E, None
+    BRDRC = B @ resolve(DJ @ RC[J])
+    dE = A / lam ** 2 + 2.0 * BRC / lam ** 3 + BRDRC / lam ** 4
     return E, dE
 
 
@@ -427,12 +467,18 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     probes = tuple(complex(p) for p in probes)
     if not probes:
         raise ValueError("the determinant identity needs at least one probe")
+    _check_m_max(m_max)
     M = _as_matrix(matrix)
     N = M.shape[0]
     A, B, C, D = _blocks(M, projector)
     rank = A.shape[0]
 
-    bulk_eigs = np.linalg.eigvals(D) if D.shape[0] else np.zeros(0, dtype=complex)
+    # D vanishes off its nonzero columns J, so (Sylvester) the nonzero
+    # eigenvalues of D and det(I - D/lam) are those of the J x J block
+    J = _nonzero_columns(D)
+    D_JJ = D[np.ix_(J, J)]
+    eye_j = np.eye(J.size, dtype=complex)
+    bulk_eigs = np.linalg.eigvals(D_JJ) if J.size else np.zeros(0, dtype=complex)
     r_bulk = float(np.abs(bulk_eigs).max()) if bulk_eigs.size else 0.0
     margin = r_bulk + 1e-6
     for p in probes:
@@ -444,14 +490,16 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
         raise ProbeInsideBulkSpectrum(
             f"radius {radius} <= bulk radius {r_bulk:.6g} + 1e-6")
 
-    # --- determinant identity at the probes ---
-    eye_n = np.eye(N, dtype=complex)
+    # --- determinant identity at the probes; the full N x N determinant
+    # is the independent side ---
     det_full, det_eff, det_bulk, rel_errors = [], [], [], []
     for lam in probes:
-        E, _ = _effective_pieces(A, B, C, D, lam)
-        log_full = _logdet(eye_n - M / lam)
+        E, _ = _effective_pieces(A, B, C, D, lam, derivative=False)
+        full = M / -lam
+        full.flat[::N + 1] += 1.0  # I - M/lam without an N x N identity
+        log_full = _logdet(full)
         log_eff = _logdet(E)
-        log_bulk = _logdet(np.eye(D.shape[0], dtype=complex) - D / lam)
+        log_bulk = _logdet(eye_j - D_JJ / lam)
         det_full.append(_det_from_log(log_full))
         det_eff.append(_det_from_log(log_eff))
         det_bulk.append(_det_from_log(log_bulk))

@@ -4,11 +4,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oqmap.cli
 from oqmap.cli import (
     exit_code_for,
     finite_float,
@@ -34,6 +40,10 @@ def run(argv):
 
 def load(path):
     return json.loads(path.read_text())
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("expensive call reached before input validation")
 
 
 def exit_status(argv):
@@ -345,6 +355,11 @@ class TestEffective:
         assert run(["effective", *D5, "--N", "125", "--level", "2",
                     "--radius", "0.01", "--outdir", tmp_path]) == 2
 
+    def test_m_max_checked_before_quantizing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+        assert run([*EFFECTIVE, "--m-max", "13", "--outdir", tmp_path]) == 2
+        assert run([*EFFECTIVE, "--m-max", "0", "--outdir", tmp_path]) == 2
+
 
 class TestHusimi:
     def test_top_mode_report(self, tmp_path):
@@ -369,6 +384,22 @@ class TestHusimi:
     def test_mode_rank_out_of_range(self, tmp_path):
         assert run(["husimi", *D3, "--N", "81", "--mode-rank", "81",
                     "--outdir", tmp_path]) == 2
+
+    def test_grid_checked_before_quantizing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+        assert run([*HUSIMI, "--grid", "1", "--outdir", tmp_path]) == 2
+
+    def test_huge_grid_exits_2_before_allocating(self, tmp_path):
+        tracemalloc.start()
+        try:
+            status = run(["husimi", *D3, "--N", "27", "--grid", "100000",
+                          "--outdir", tmp_path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert peak < 1 << 20
+        assert not any(tmp_path.iterdir())
 
     def test_explicit_thickening(self, tmp_path):
         assert run(["husimi", *D3, "--N", "27", "--level", "2",
@@ -434,3 +465,13 @@ def test_manifest_lists_every_output(tmp_path, name, argv):
     for fname, entry in listed.items():
         assert entry["sha256"] == sha256_file(tmp_path / fname)
         assert entry["bytes"] == (tmp_path / fname).stat().st_size
+
+
+def test_import_loads_no_scipy():
+    # every command pays the import; scipy alone would add ~0.5 s
+    code = ("import sys, oqmap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(oqmap.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"

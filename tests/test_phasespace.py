@@ -7,11 +7,13 @@ periodized states.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oqmap.phasespace
 from oqmap import (
     CoherentFrame,
     QuantizationConfig,
@@ -24,9 +26,11 @@ from oqmap import (
     symmetric_spec,
     validate_spec,
 )
-from oqmap.errors import UnnormalizedInput
+from oqmap.errors import DimensionGuard, UnnormalizedInput
+from oqmap.phasespace import _validate_grid
+from oqmap.quantize import DENSE_GUARD
 
-from conftest import get_quantization
+from conftest import get_open_spectrum, get_quantization
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +161,128 @@ class TestHusimiField:
         assert field.values.shape == (32, 64)
         assert field.x_centers.shape == (32,)
         assert field.xi_centers.shape == (64,)
+
+
+    def test_grid_above_guard_refused_before_allocating(self):
+        frame = CoherentFrame(27)
+        state = coherent_state(frame, 0.5, 0.5)
+        for grid in (100000, (32, DENSE_GUARD + 1), (DENSE_GUARD + 1, 32)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DimensionGuard):
+                    husimi_field(state, frame, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Husimi oracles: the direct sum the FFT fold replaces
+# ---------------------------------------------------------------------------
+
+def direct_sum_field(state, frame, grid):
+    """Phase-reduced direct sum over cells, images and lattice points.
+
+    Every exponent is an integer multiple of pi/gxi, reduced modulo 2 gxi
+    before exponentiation.
+    """
+    u = np.asarray(state, dtype=complex)
+    N, W = frame.dimension, frame.image_radius
+    gx, gxi = _validate_grid(grid)
+    j = np.arange(N)
+    odd = 2 * np.arange(gxi)[:, None] + 1
+    values = np.empty((gx, gxi))
+    for a in range(gx):
+        x0 = (a + 0.5) / gx
+        psi = np.zeros((gxi, N), dtype=complex)  # one state per xi_b
+        for w in range(-W, W + 1):
+            n = j + w * N
+            envelope = np.exp(-np.pi * (n + frame.bloch[0] - N * x0) ** 2
+                              / (N * frame.squeeze))
+            # e^{2 pi i xi_b n} with xi_b = (2b + 1) / (2 gxi)
+            psi += envelope * np.exp(1j * np.pi * (odd * n % (2 * gxi)) / gxi)
+        overlaps = psi.conj() @ u
+        norms_sq = np.sum(np.abs(psi) ** 2, axis=1)
+        values[a] = N * np.abs(overlaps) ** 2 / norms_sq
+    return values
+
+
+def direct_gemm_field(state, frame, grid):
+    """The O(gx gxi N W) grid-column loop of the first implementation,
+    phases taken unreduced."""
+    u = np.asarray(state, dtype=complex)
+    N = frame.dimension
+    gx, gxi = _validate_grid(grid)
+    x_centers = (np.arange(gx) + 0.5) / gx
+    xi_centers = (np.arange(gxi) + 0.5) / gxi
+    x = frame.lattice
+    images = range(-frame.image_radius, frame.image_radius + 1)
+    envelopes = [np.exp(-np.pi * N * (x[None, :] + w - x_centers[:, None]) ** 2
+                        / frame.squeeze) for w in images]
+    values = np.empty((gx, gxi))
+    for b, xi0 in enumerate(xi_centers):
+        S = np.zeros((gx, N), dtype=complex)
+        for T, w in zip(envelopes, images):
+            S += T * np.exp(2j * np.pi * N * xi0 * w)
+        lattice_phase = np.exp(2j * np.pi * N * xi0 * x)
+        overlaps = S.conj() @ (np.conj(lattice_phase) * u)
+        norms_sq = np.einsum("aj,aj->a", S.real, S.real) \
+            + np.einsum("aj,aj->a", S.imag, S.imag)
+        values[:, b] = N * np.abs(overlaps) ** 2 / norms_sq
+    return values
+
+
+def random_state(N, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=N) + 1j * rng.normal(size=N)
+    return u / np.linalg.norm(u)
+
+
+FOLD_CASES = [
+    # (N, grid, bloch): square, rectangular both ways, theta_x != 0, a
+    # grid finer than the extended lattice, and N not a multiple of gxi
+    (40, 32, (0.0, 0.0)),
+    (36, (32, 48), (0.3, 0.7)),
+    (50, (40, 33), (0.5, 0.5)),
+    (27, (33, 32), (0.25, 0.0)),
+    (16, (32, 200), (0.0, 0.5)),
+]
+
+
+class TestHusimiFold:
+    @pytest.mark.parametrize("N,grid,bloch", FOLD_CASES)
+    def test_matches_direct_sums(self, N, grid, bloch):
+        frame = CoherentFrame(N, bloch)
+        state = random_state(N, N)
+        values = husimi_field(state, frame, grid).values
+        reduced = direct_sum_field(state, frame, grid)
+        scale = reduced.max()
+        assert np.abs(values - reduced).max() <= 1e-14 * scale
+        assert np.abs(values - direct_gemm_field(state, frame, grid)).max() \
+            <= 1e-12 * scale
+
+    def test_matches_gemm_loop_on_eigenmode(self):
+        # the benchmark-sized case: a resonance state at N = 500
+        N = 500
+        spectrum = get_open_spectrum("D5", N, (0.5, 0.5), vectors=True)
+        mode = spectrum.vectors[:, 0] / np.linalg.norm(spectrum.vectors[:, 0])
+        frame = CoherentFrame(N, (0.5, 0.5))
+        values = husimi_field(mode, frame, (64, 96)).values
+        reference = direct_gemm_field(mode, frame, (64, 96))
+        assert np.abs(values - reference).max() <= 1e-12 * reference.max()
+
+    def test_fold_without_half_cell_shift_fails(self, monkeypatch):
+        # mutation check: dropping e^{-i pi n/gxi} samples xi at b/gxi
+        # instead of the cell centres, which the oracle must catch
+        N, grid, bloch = FOLD_CASES[1]
+        frame = CoherentFrame(N, bloch)
+        state = random_state(N, N)
+        reduced = direct_sum_field(state, frame, grid)
+        monkeypatch.setattr(oqmap.phasespace, "_half_cell_twist",
+                            lambda n, gxi: np.ones(n.shape))
+        values = husimi_field(state, frame, grid).values
+        assert np.abs(values - reduced).max() > 1e-3 * reduced.max()
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,21 @@ class TestCsvSchemas:
         assert path.read_text() == (
             "x,xi,value\n0.25,0.5,1\n0.75,0.5,2\n")
 
+    def test_husimi_csv_bytes_match_per_cell_formatting(self, tmp_path):
+        rng = np.random.default_rng(8)
+        gx, gxi = 40, 33
+        field = HusimiField((np.arange(gx) + 0.5) / gx,
+                            (np.arange(gxi) + 0.5) / gxi,
+                            rng.random((gx, gxi)) * 10.0 ** rng.integers(-9, 3, (gx, gxi)))
+        lines = ["x,xi,value"]
+        for a, x in enumerate(field.x_centers):
+            for b, xi in enumerate(field.xi_centers):
+                lines.append(f"{fmt_float(x)},{fmt_float(xi)},"
+                             f"{fmt_float(field.values[a, b])}")
+        want = ("\n".join(lines) + "\n").encode()
+        path = write_husimi_csv(tmp_path / "h.csv", field)
+        assert path.read_bytes() == want
+
 
 class TestPgm:
     def make_field(self, values):

@@ -29,7 +29,13 @@ from oqmap.errors import (
     ProbeInsideBulkSpectrum,
     SingularResolvent,
 )
-from oqmap.spectral import _effective_pieces
+import oqmap.spectral
+from oqmap.spectral import (
+    _blocks,
+    _effective_pieces,
+    _nonzero_columns,
+    _projector_split,
+)
 
 from conftest import get_open_spectrum, get_quantization
 
@@ -318,6 +324,139 @@ class TestEffectiveHamiltonian:
         nonidem = 0.5 * np.eye(4)
         with pytest.raises(ValueError):
             effective_hamiltonian(M, nonidem, probe_ring(2.0), 1.5)
+
+
+# ---------------------------------------------------------------------------
+# kept-column oracles: the full-inverse and full-power forms they replace
+# ---------------------------------------------------------------------------
+
+def full_inverse_pieces(A, B, C, D, lam, derivative=True):
+    """E(lam) and dE(lam) through the full bulk inverse (I - D/lam)^{-1}."""
+    k, nb = A.shape[0], D.shape[0]
+    if nb == 0:
+        return np.eye(k, dtype=complex) - A / lam, A / lam ** 2
+    eye = np.eye(nb, dtype=complex)
+    R = np.linalg.solve(eye - D / lam, eye)
+    BR = B @ R
+    BRC = BR @ C
+    E = np.eye(k, dtype=complex) - A / lam - BRC / lam ** 2
+    dE = A / lam ** 2 + 2.0 * BRC / lam ** 3 + (BR @ D @ R @ C) / lam ** 4
+    return E, dE
+
+
+def full_power_residual_decay(matrix, projector, m_max=6):
+    """||(I - Pi) M^m||_2 from full N x N powers and full SVDs."""
+    M = np.asarray(getattr(matrix, "matrix", matrix))
+    kept, rest, V, W = _projector_split(projector, M.shape[0])
+    norms, power = [], M.copy()
+    for _ in range(m_max):
+        complement = power[rest, :] if V is None else W.conj().T @ power
+        norms.append(float(np.linalg.norm(complement, 2)) if complement.size else 0.0)
+        power = power @ M
+    return tuple(norms)
+
+
+def random_orthoprojector(N, rank, seed):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(N, rank)) + 1j * rng.normal(size=(N, rank)))
+    return Q @ Q.conj().T
+
+
+def kept_column_cases():
+    """(matrix, projector, radius) covering each shape of the bulk block."""
+    spec5 = symmetric_spec(5, (1, 3))
+    quantization = get_quantization("D5", 125, (0.5, 0.5))
+    M = quantization.open_map.matrix
+    quasi = trapped_quasiprojector(spec5, QuantizationConfig(125, (0.5, 0.5)), 2)
+    rng = np.random.default_rng(17)
+    # twelve separated outer eigenvalues near 0.8 over a dense random bulk
+    dense = (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / 40.0
+    dense[range(12), range(12)] += 0.8 * np.exp(2j * np.pi * np.arange(12) / 12)
+    return {
+        # diagonal cover: D keeps some zero columns, J is a proper subset
+        "quasiprojector": (M, quasi.diagonal, 0.5),
+        # the map's own kept set: D = 0, J is empty, R = I
+        "empty J": (M, quantization.projector, 0.5),
+        # no zero column anywhere
+        "dense M": (dense, (np.arange(40) < 12).astype(float), 0.5),
+        # matrix projector: rotated, so D is dense
+        "matrix projector": (M, random_orthoprojector(125, 30, 3), 0.8),
+    }
+
+
+CASES = kept_column_cases()
+
+
+def assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+class TestKeptColumns:
+    def test_cases_cover_each_bulk_shape(self):
+        sizes = {}
+        for case, (M, projector, _) in CASES.items():
+            D = _blocks(M, projector)[3]
+            sizes[case] = (_nonzero_columns(D).size, D.shape[0])
+        J, nb = sizes["quasiprojector"]
+        assert 0 < J < nb
+        assert sizes["empty J"][0] == 0 < sizes["empty J"][1]
+        assert sizes["dense M"][0] == sizes["dense M"][1]
+        assert sizes["matrix projector"][0] == sizes["matrix projector"][1]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pieces_match_full_inverse(self, case):
+        M, projector, radius = CASES[case]
+        A, B, C, D = _blocks(M, projector)
+        for lam in (1.5, 0.9 * np.exp(0.7j), radius + 0.05j):
+            E, dE = _effective_pieces(A, B, C, D, lam)
+            E0, dE0 = full_inverse_pieces(A, B, C, D, lam)
+            assert np.linalg.norm(E - E0) <= 1e-12 * np.linalg.norm(E0)
+            assert np.linalg.norm(dE - dE0) <= 1e-12 * np.linalg.norm(dE0)
+            E1, none = _effective_pieces(A, B, C, D, lam, derivative=False)
+            assert none is None
+            assert np.array_equal(E1, E)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_residual_decay_matches_full_powers(self, case):
+        M, projector, _ = CASES[case]
+        assert_close(residual_decay(M, projector, 8),
+                     full_power_residual_decay(M, projector, 8))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_matches_full_forms(self, case, monkeypatch):
+        M, projector, radius = CASES[case]
+        probes = probe_ring(1.5, 6)
+        got = effective_hamiltonian(M, projector, probes, radius)
+        monkeypatch.setattr(oqmap.spectral, "_effective_pieces",
+                            full_inverse_pieces)
+        monkeypatch.setattr(oqmap.spectral, "residual_decay",
+                            full_power_residual_decay)
+        want = effective_hamiltonian(M, projector, probes, radius)
+        assert got.outer_eigenvalues == want.outer_eigenvalues
+        assert got.outer_eigenvalues  # every case has roots to refine
+        assert_close(got.refined_roots, want.refined_roots)
+        assert_close(got.residual_norms, want.residual_norms)
+        assert_close(got.determinant_effective, want.determinant_effective)
+        assert got.unmatched == want.unmatched == 0
+        # the bulk side against the full N x N bulk block, by Sylvester
+        A, B, C, D = _blocks(M, projector)
+        r_bulk = float(np.abs(np.linalg.eigvals(D)).max()) if D.size else 0.0
+        assert abs(got.bulk_spectral_radius - r_bulk) <= 1e-12 * max(r_bulk, 1e-3)
+        for lam, det_bulk in zip(probes, got.determinant_bulk):
+            want_det = np.linalg.det(np.eye(D.shape[0]) - D / lam)
+            assert abs(det_bulk - want_det) <= 1e-12 * abs(want_det)
+        assert got.max_identity_rel_error <= 1e-12
+
+    def test_m_max_checked_before_any_work(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("blocks formed before m_max was checked")
+
+        monkeypatch.setattr(oqmap.spectral, "_blocks", unreachable)
+        with pytest.raises(ValueError, match="m_max"):
+            effective_hamiltonian(np.eye(4), np.ones(4), probe_ring(2.0), 1.5,
+                                  m_max=13)
 
 
 class TestMatchSpectra:
