@@ -31,8 +31,9 @@ constant.  A Perron-Frobenius route through the weighted transition
 matrix is implemented alongside as an independent cross-check.
 
 Arithmetic is deliberately dual: set-level quantities (volumes, interval
-covers) are computed in exact rational arithmetic via ``fractions``, while
-pressure and root-finding use floats.
+covers) are exact rationals, while pressure and root-finding use floats.
+The symbolic refinement runs on integer numerators over a common
+denominator and hands out ``fractions.Fraction`` values.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import lcm, log
+from operator import sub
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,6 +52,7 @@ from .errors import (
     EndpointMismatch,
     HorizonTooLarge,
     NonMonotonePartition,
+    NumericalError,
     OutOfDomain,
     PowerIterationDivergence,
 )
@@ -292,29 +295,43 @@ def admissible_words(spec: BakerSpec, length: int,
     return rec([])
 
 
-def _refine_intervals(spec: BakerSpec, intervals: Sequence[Interval]) -> list:
-    """One symbolic refinement: map each interval I to x_s + ell_s * I
-    for every kept symbol s.  Preserves exactness.  Kept symbols ascend
-    and each maps [0, 1) onto its own rectangle [x_s, x_s + ell_s), so
-    sorted disjoint input gives sorted disjoint output without a sort."""
-    out = []
-    for s in spec.keep:
-        x_s, ell_s = spec.partition[s], spec.lengths[s]
-        for lo, hi in intervals:
-            out.append((x_s + ell_s * lo, x_s + ell_s * hi))
-    return out
+def _refine(spec: BakerSpec, level: int) -> Tuple[Tuple[Fraction, ...],
+                                                 Tuple[Interval, ...]]:
+    """The symbolic refinement loop: map [0, 1) ``level`` times to
+    x_s + ell_s * I for every kept symbol s.
 
+    Returns the surviving length after each step, summed from the actual
+    interval widths rather than the closed form (sum ell)^m, and the
+    level-``level`` intervals.  Kept symbols ascend and each maps [0, 1)
+    onto its own rectangle [x_s, x_s + ell_s), so the intervals come out
+    sorted and disjoint without a sort.
 
-def _level_intervals(spec: BakerSpec, level: int) -> list:
-    """Level-m cover of the Cantor set: sorted admissible-word intervals."""
+    The loop runs on Python-int numerators over Q^m, with Q the lcm of the
+    partition denominators: symbol s is (a_s, b_s) = (Q x_s, Q ell_s), and
+    one step maps (lo, hi) over Q^m to (a_s Q^m + b_s lo, a_s Q^m + b_s hi)
+    over Q^(m+1).  The numerators pass 2^63 (Q = 47 at m = 12), so they
+    must never become fixed-width integers.  The final intervals become
+    Fractions once, at the end.
+    """
     count = len(spec.keep) ** level
     if count > INTERVAL_GUARD:
         raise HorizonTooLarge(
-            f"level {level} needs {count} intervals (guard {INTERVAL_GUARD})")
-    intervals = [(Fraction(0), Fraction(1))]
+            f"{level} refinement levels need {count} intervals "
+            f"(guard {INTERVAL_GUARD})")
+    Q = lcm(*(p.denominator for p in spec.partition))
+    symbols = [(int(Q * spec.partition[s]), int(Q * spec.lengths[s]))
+               for s in spec.keep]
+    los, his, den = [0], [1], 1
+    alive = []
     for _ in range(level):
-        intervals = _refine_intervals(spec, intervals)
-    return intervals
+        shifts = [(a * den, b) for a, b in symbols]
+        los = [c + b * lo for c, b in shifts for lo in los]
+        his = [c + b * hi for c, b in shifts for hi in his]
+        den *= Q
+        alive.append(Fraction(sum(map(sub, his, los)), den))
+    intervals = tuple((Fraction(lo, den), Fraction(hi, den))
+                      for lo, hi in zip(los, his))
+    return tuple(alive), intervals
 
 
 @dataclass(frozen=True)
@@ -341,28 +358,17 @@ def escape_report(spec: BakerSpec, horizon: int) -> EscapeReport:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    count = len(spec.keep) ** horizon
-    if count > INTERVAL_GUARD:
-        raise HorizonTooLarge(
-            f"horizon {horizon} needs {count} intervals (guard {INTERVAL_GUARD})")
-
-    escaped = []
-    intervals = [(Fraction(0), Fraction(1))]
-    for _ in range(horizon):
-        intervals = _refine_intervals(spec, intervals)
-        alive = sum((hi - lo for lo, hi in intervals), Fraction(0))
-        escaped.append(1 - alive)
-    survivor_volume = 1 - escaped[-1]
-
-    report = EscapeReport(
-        horizon=horizon,
-        escaped_volumes=tuple(escaped),
-        survivor_volume=survivor_volume,
-        survivor_intervals=tuple(intervals),
-    )
+    alive, intervals = _refine(spec, horizon)
+    escaped = tuple(1 - a for a in alive)
     # escaped mass only ever grows
-    assert all(a <= b for a, b in zip(escaped, escaped[1:]))
-    return report
+    if any(a > b for a, b in zip(escaped, escaped[1:])):
+        raise NumericalError(f"escaped volumes not monotone: {escaped}")
+    return EscapeReport(
+        horizon=horizon,
+        escaped_volumes=escaped,
+        survivor_volume=alive[-1],
+        survivor_intervals=intervals,
+    )
 
 
 @dataclass(frozen=True)
@@ -397,13 +403,15 @@ def trapped_cover(spec: BakerSpec, level: int, tail: str = "K") -> TrappedCover:
     if tail not in ("K", "K_minus", "K_plus"):
         raise ValueError(f"tail must be K, K_minus or K_plus, got {tail!r}")
     # the K cover conceptually holds |keep|^(2m) rectangles; guard on that
-    count = len(spec.keep) ** (2 * level if tail == "K" else level)
-    if count > INTERVAL_GUARD:
-        raise HorizonTooLarge(
-            f"cover would hold {count} elements (guard {INTERVAL_GUARD})")
+    # (the refinement guards the |keep|^m strips)
+    if tail == "K":
+        count = len(spec.keep) ** (2 * level)
+        if count > INTERVAL_GUARD:
+            raise HorizonTooLarge(
+                f"cover would hold {count} rectangles (guard {INTERVAL_GUARD})")
 
-    intervals = tuple(_level_intervals(spec, level))
-    length = sum((hi - lo for lo, hi in intervals), Fraction(0))
+    alive, intervals = _refine(spec, level)
+    length = alive[-1]
     if tail == "K_minus":
         return TrappedCover(tail, level, intervals, None, length)
     if tail == "K_plus":
@@ -444,7 +452,9 @@ def _perron_frobenius_full_shift(weights: Sequence[float],
     """
     w = np.asarray(weights, dtype=float)
     n = w.size
-    assert n >= 1 and np.all(w > 0)
+    if n < 1 or not np.all(w > 0):
+        raise NumericalError(
+            f"Perron-Frobenius weights must be positive, got {list(weights)}")
     v = np.full(n, 1.0 / n)
     lam_prev = 0.0
     for _ in range(max_iter):
@@ -474,7 +484,9 @@ def cantor_dimension(spec: BakerSpec) -> float:
         return sum(l ** s for l in lengths) - 1.0
 
     lo, hi = 0.0, 1.0
-    assert f(lo) > 0 and f(hi) < 0
+    if not (f(lo) > 0 and f(hi) < 0):
+        raise NumericalError(
+            f"sum ell^s = 1 has no root bracketed in [0, 1]: {lengths}")
     for _ in range(60):  # 2^-60 << the 1e-12 target
         mid = 0.5 * (lo + hi)
         if f(mid) > 0:
@@ -509,7 +521,9 @@ def thermo_report(spec: BakerSpec,
     if s_grid is None:
         s_grid = np.linspace(-1.0, 3.0, 50)
     s_grid = tuple(float(s) for s in s_grid)
-    values = tuple(pressure(spec, s) for s in s_grid)
+    # the closed form of pressure(), from one list of float kept lengths
+    lengths = [float(l) for l in spec.kept_lengths]
+    values = tuple(log(sum([l ** s for l in lengths])) for s in s_grid)
 
     nu = cantor_dimension(spec)
     surviving = float(spec.survival_fraction)

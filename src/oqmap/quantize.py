@@ -50,6 +50,7 @@ from .errors import (
     AsymmetricSpec,
     DimensionGuard,
     DivisibilityError,
+    EndpointMismatch,
     LengthMismatch,
     ParityNotExact,
     SolverFailure,
@@ -145,7 +146,8 @@ def _block_sizes(spec: BakerSpec, N: int) -> Tuple[int, ...]:
             raise DivisibilityError(
                 f"N={N} is incompatible with ell_{i}={ell}: N*ell not an integer")
         sizes.append(int(width))
-    assert sum(sizes) == N
+    if sum(sizes) != N:
+        raise EndpointMismatch(f"block sizes {sizes} do not sum to N={N}")
     return tuple(sizes)
 
 

@@ -5,6 +5,8 @@ locale; floats print as %.17g (shortest lossless round-trip for doubles
 is not needed, 17 significant digits always suffice).  JSON is emitted
 with sorted keys and two-space indent so identical payloads are
 byte-identical.  Exact rationals serialize as {"num": p, "den": q}.
+JSON is strict: a non-finite float is written as the string "inf",
+"-inf" or "nan", never as a bare NaN/Infinity token.
 
 Matrix files are binary: 8-byte magic "OQMAPv1\\0", little-endian u64
 row and column counts, then the entries column-major as interleaved
@@ -67,15 +69,18 @@ def json_ready(obj):
 
     Fractions become {"num","den"}, complex numbers {"re","im"}, numpy
     scalars and arrays their Python equivalents, dataclasses dicts.
+    Non-finite floats become the strings "inf", "-inf" and "nan".
     """
     if is_dataclass(obj) and not isinstance(obj, type):
         return json_ready(asdict(obj))
     if isinstance(obj, Fraction):
         return fraction_to_json(obj)
     if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+        return {"re": json_ready(float(obj.real)),
+                "im": json_ready(float(obj.imag))}
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else fmt_float(value)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -95,8 +100,9 @@ def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
 
 
 def write_json(path: PathLike, payload) -> Path:
+    """Strict JSON: a NaN or Infinity that json_ready missed raises."""
     return write_lines(path, [json.dumps(json_ready(payload), sort_keys=True,
-                                         indent=2)])
+                                         indent=2, allow_nan=False)])
 
 
 # ---------------------------------------------------------------------------

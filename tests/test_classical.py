@@ -6,8 +6,12 @@ a vectorized Monte Carlo escape estimate, closed forms evaluated inline,
 and the transfer-operator route.
 """
 
+import inspect
 import math
+import textwrap
+import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,12 +33,14 @@ from oqmap import (
     validate_spec,
     word_interval,
 )
-from oqmap.classical import _level_intervals
+from oqmap import classical
+from oqmap.classical import _perron_frobenius_full_shift, _refine
 from oqmap.errors import (
     EmptyOrFullKeepSet,
     EndpointMismatch,
     HorizonTooLarge,
     NonMonotonePartition,
+    NumericalError,
     OutOfDomain,
 )
 
@@ -236,7 +242,7 @@ class TestTrappedCover:
     ])
     def test_level_intervals_ascend_disjoint(self, partition, keep, level):
         # refinement keeps the order without sorting, also for unequal widths
-        intervals = _level_intervals(validate_spec(partition, keep), level)
+        _, intervals = _refine(validate_spec(partition, keep), level)
         assert len(intervals) == len(keep) ** level
         assert all(lo < hi for lo, hi in intervals)
         assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
@@ -295,8 +301,24 @@ class TestEscapeReport:
     def test_horizon_validation(self, spec3):
         with pytest.raises(ValueError):
             escape_report(spec3, 0)
-        with pytest.raises(HorizonTooLarge):
-            escape_report(spec3, 24)  # 2^24 intervals > interval guard
+        # 2^24 intervals > interval guard, refused before any allocation
+        tracemalloc.start()
+        try:
+            with pytest.raises(HorizonTooLarge):
+                escape_report(spec3, 24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_non_monotone_volumes_raise(self, spec3, monkeypatch):
+        # a refinement whose surviving length grows must not pass silently
+        def growing(spec, level):
+            alive, intervals = _refine(spec, level)
+            return alive[::-1], intervals
+        monkeypatch.setattr(classical, "_refine", growing)
+        with pytest.raises(NumericalError):
+            escape_report(spec3, 3)
 
     def test_monte_carlo_oracle(self, spec3, asym_spec):
         # independent pointwise check of the interval-refinement volumes:
@@ -320,6 +342,81 @@ class TestEscapeReport:
             p = float(escape_report(spec, horizon).survivor_volume)
             sigma = math.sqrt(p * (1 - p) / x.size)
             assert abs(p_hat - p) <= 3 * sigma
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator refinement against the Fraction loop
+# ---------------------------------------------------------------------------
+
+def _refine_intervals(spec, intervals):
+    """Oracle: one refinement step in Fraction arithmetic."""
+    out = []
+    for s in spec.keep:
+        x_s, ell_s = spec.partition[s], spec.lengths[s]
+        for lo, hi in intervals:
+            out.append((x_s + ell_s * lo, x_s + ell_s * hi))
+    return out
+
+
+def fraction_levels(spec, horizon):
+    """Oracle: (escaped volumes, intervals) after each of ``horizon`` steps."""
+    escaped, intervals = [], [(Fraction(0), Fraction(1))]
+    for _ in range(horizon):
+        intervals = _refine_intervals(spec, intervals)
+        escaped.append(1 - sum((hi - lo for lo, hi in intervals), Fraction(0)))
+        yield tuple(escaped), tuple(intervals)
+
+
+def assert_matches_fractions(spec, horizon):
+    for m, (escaped, intervals) in enumerate(fraction_levels(spec, horizon), 1):
+        report = escape_report(spec, m)
+        assert report.escaped_volumes == escaped
+        assert report.survivor_volume == 1 - escaped[-1]
+        assert report.survivor_intervals == intervals
+        assert all(type(x) is Fraction for iv in intervals for x in iv)
+
+
+class TestIntegerRefinement:
+    @pytest.mark.parametrize("partition,keep,horizon", [
+        ("0,1/3,2/3,1", (0, 2), 12),
+        ("0,1/2,3/4,1", (0, 2), 12),
+        ("0,1/5,2/5,3/5,4/5,1", (1, 3), 12),
+        # 3^12 intervals take the Fraction oracle ~10 s; 3^10 make the point
+        ("0,1/4,1/2,3/4,1", (0, 1, 3), 10),
+        # the lcm exceeds every single denominator
+        ("0,1/2,5/6,1", (0, 2), 12),     # Q = 6
+        ("0,2/7,1/2,1", (0, 1), 12),     # Q = 14
+        ("0,2/7,1/2,1", (0, 2), 12),
+        # Q^12 = 47^12 passes 2^63
+        ("0,1/47,30/47,1", (0, 2), 12),
+    ])
+    def test_matches_fraction_loop(self, partition, keep, horizon):
+        assert_matches_fractions(validate_spec(partition.split(","), keep),
+                                 horizon)
+
+    def test_denominators_pass_int64(self):
+        spec = validate_spec(("0", "1/47", "30/47", "1"), (0, 2))
+        lo, hi = escape_report(spec, 12).survivor_intervals[0]
+        assert (hi - lo).denominator == 47 ** 12 > 2 ** 63
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_specs_at_level_12(self, seed):
+        spec = random_rational_spec(np.random.default_rng(seed), max_keep=2)
+        assert_matches_fractions(spec, 12)
+
+    def test_mutant_without_shift_scaling_is_caught(self, spec3, monkeypatch):
+        # drop the Q^m factor on a_s: level 1 (Q^0 = 1) still agrees, and
+        # the oracle must catch the first level where the factor matters
+        source = textwrap.dedent(inspect.getsource(classical._refine))
+        mutant = source.replace("(a * den, b)", "(a, b)")
+        assert mutant != source
+        namespace = dict(vars(classical))
+        exec(mutant, namespace)
+        monkeypatch.setattr(classical, "_refine", namespace["_refine"])
+        assert_matches_fractions(spec3, 1)
+        with pytest.raises(AssertionError):
+            assert_matches_fractions(spec3, 2)
 
 
 @settings(max_examples=20, deadline=None)
@@ -372,6 +469,15 @@ class TestPressure:
                 markov = pressure(spec, s, method="markov")
                 assert abs(closed - markov) <= 1e-10
 
+    def test_non_positive_weights_raise(self):
+        # 47^-1000 underflows to 0.0, so the power iteration has no
+        # positive matrix to work on
+        spec = validate_spec(("0", "1/47", "30/47", "1"), (0, 2))
+        with pytest.raises(NumericalError):
+            pressure(spec, 1000.0, method="markov")
+        with pytest.raises(NumericalError):
+            _perron_frobenius_full_shift([])
+
     def test_unknown_method(self, spec3):
         with pytest.raises(ValueError):
             pressure(spec3, 0.5, method="oracle")
@@ -397,6 +503,12 @@ class TestDimension:
     def test_single_branch_dimension_is_zero(self):
         spec = validate_spec((0, Fraction(1, 2), 1), (0,))
         assert cantor_dimension(spec) == 0.0
+
+    def test_unbracketed_root_raises(self):
+        # kept widths summing past 1 put f(1) above 0
+        wide = SimpleNamespace(kept_lengths=(Fraction(1, 2), Fraction(3, 4)))
+        with pytest.raises(NumericalError):
+            cantor_dimension(wide)
 
     def test_pressure_root_consistency(self, rng):
         for _ in range(10):
@@ -439,6 +551,15 @@ class TestThermoReport:
             p_half = pressure(spec, 0.5)
             assert -report.gamma_cl / 2 - 1e-12 <= p_half
             assert p_half <= (report.h_top - report.gamma_cl) / 2 + 1e-12
+
+    def test_grid_equals_pressure_bitwise(self, spec3, asym_spec, rng):
+        grid = np.linspace(-1.0, 3.0, 2001)
+        specs = [spec3, asym_spec] + [random_rational_spec(rng)
+                                      for _ in range(5)]
+        for spec in specs:
+            values = thermo_report(spec, grid).values
+            assert [v.hex() for v in values] == [
+                pressure(spec, float(s)).hex() for s in grid]
 
     def test_custom_grid(self, spec3):
         grid = np.linspace(0.0, 1.0, 11)

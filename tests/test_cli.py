@@ -42,6 +42,10 @@ def load(path):
     return json.loads(path.read_text())
 
 
+def refuse_constant(token):
+    raise AssertionError(f"non-strict JSON token {token}")
+
+
 def unreachable(*args, **kwargs):
     raise AssertionError("expensive call reached before input validation")
 
@@ -189,8 +193,15 @@ class TestEscape:
         assert len(lines) == 17
 
     def test_horizon_guard_maps_to_exit_2(self, tmp_path):
-        assert run(["escape", *D3, "--horizon", "24",
-                    "--outdir", tmp_path]) == 2
+        tracemalloc.start()
+        try:
+            status = run(["escape", *D3, "--horizon", "24",
+                          "--outdir", tmp_path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert peak < 1 << 20
 
 
 class TestSpectrum:
@@ -400,6 +411,15 @@ class TestHusimi:
         assert status == 2
         assert peak < 1 << 20
         assert not any(tmp_path.iterdir())
+
+    def test_zero_mode_writes_strict_json(self, tmp_path):
+        # the last mode of D3 at N=27 has eigenvalue 0, so lifetime is inf
+        assert run([*HUSIMI, "--mode-rank", "26", "--grid", "32",
+                    "--outdir", tmp_path]) == 0
+        text = (tmp_path / "husimi.json").read_text()
+        payload = json.loads(text, parse_constant=refuse_constant)
+        assert payload["modulus"] == 0.0
+        assert payload["lifetime"] == "inf"
 
     def test_explicit_thickening(self, tmp_path):
         assert run(["husimi", *D3, "--N", "27", "--level", "2",

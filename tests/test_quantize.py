@@ -9,6 +9,8 @@ are small enough to solve by hand (2x2 quadratic formula).
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,10 +30,13 @@ from oqmap.errors import (
     AsymmetricSpec,
     DimensionGuard,
     DivisibilityError,
+    EndpointMismatch,
     LengthMismatch,
     ParityNotExact,
     SolverFailure,
 )
+
+from oqmap.quantize import _block_sizes
 
 from conftest import get_quantization, get_walsh, get_walsh_spectrum
 
@@ -121,6 +126,12 @@ class TestQuantizeOpen:
     def test_dense_guard(self, spec3):
         with pytest.raises(DimensionGuard):
             quantize_open(spec3, QuantizationConfig(5001))
+
+    def test_block_sizes_must_fill_N(self):
+        # widths summing to 1/2 leave half of the lattice unassigned
+        half = SimpleNamespace(lengths=(Fraction(1, 4), Fraction(1, 4)))
+        with pytest.raises(EndpointMismatch):
+            _block_sizes(half, 8)
 
     def test_spectrum_subunitary(self, spec3):
         eigs = eigen_decompose(get_quantization("D3", 81).open_map).eigenvalues

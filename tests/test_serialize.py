@@ -5,6 +5,7 @@ Formats are part of the tool's contract (reruns must be byte-identical),
 so these tests pin exact bytes, not just values.
 """
 
+import json
 import math
 import struct
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oqmap.serialize
 from oqmap import HusimiField
 from oqmap.serialize import (
     MAGIC,
@@ -62,6 +64,20 @@ class TestJsonReady:
     def test_complex_array(self):
         out = json_ready(np.array([1j]))
         assert out == [{"re": 0.0, "im": 1.0}]
+
+    def test_non_finite_floats_become_strings(self):
+        out = json_ready({"p": math.inf, "m": np.float64(-np.inf),
+                          "n": math.nan, "z": complex(math.inf, math.nan)})
+        assert out == {"p": "inf", "m": "-inf", "n": "nan",
+                       "z": {"re": "inf", "im": "nan"}}
+
+    def test_write_json_is_strict(self, tmp_path, monkeypatch):
+        path = write_json(tmp_path / "x.json", {"t": [math.inf, 1.5]})
+        assert json.loads(path.read_text()) == {"t": ["inf", 1.5]}
+        # a value the mapping misses raises instead of writing Infinity
+        monkeypatch.setattr(oqmap.serialize, "json_ready", lambda obj: obj)
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "y.json", {"t": math.inf})
 
     def test_golden_json_bytes(self, tmp_path):
         path = write_json(tmp_path / "x.json",
