@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .classical import (
+    INTERVAL_GUARD,
     BakerSpec,
     cantor_dimension,
     escape_report,
@@ -40,6 +41,7 @@ from .classical import (
 from .errors import DivisibilityError, NumericalError, ValidationError
 from .phasespace import CoherentFrame, _validate_grid, husimi_report
 from .quantize import (
+    DENSE_GUARD,
     QuantizationConfig,
     _block_sizes,
     apply_diagonal_phases,
@@ -127,28 +129,28 @@ def parse_bloch(text: str) -> Tuple[float, float]:
 
 
 def parse_dimensions(text: str) -> List[int]:
-    """A single N or an inclusive start:stop:step range."""
+    """A single N or an inclusive start:stop:step range, at most DENSE_GUARD."""
     parts = text.split(":")
+    if len(parts) == 1:
+        parts = [parts[0], parts[0], "1"]
     try:
-        if len(parts) == 1:
-            values = [int(parts[0])]
-        elif len(parts) == 3:
-            start, stop, step = (int(p) for p in parts)
-            if step < 1 or stop < start:
-                raise ValueError
-            values = list(range(start, stop + 1, step))
-        else:
+        start, stop, step = (int(p) for p in parts)
+        if step < 1 or stop < start:
             raise ValueError
     except ValueError:
         raise ValidationError(
             f"dimension range must be N or start:stop:step, got {text!r}")
-    if not values or values[0] < 1:
+    values = range(start, stop + 1, step)
+    if values[0] < 1:
         raise ValidationError(f"dimensions must be >= 1, got {text!r}")
-    return values
+    if values[-1] > DENSE_GUARD:
+        raise ValidationError(
+            f"dimension {values[-1]} in {text!r} exceeds dense guard {DENSE_GUARD}")
+    return list(values)
 
 
 def parse_float_grid(text: str) -> np.ndarray:
-    """lo:hi:count linear grid."""
+    """lo:hi:count linear grid, at most INTERVAL_GUARD points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be lo:hi:count, got {text!r}")
@@ -157,8 +159,8 @@ def parse_float_grid(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"cannot parse grid {text!r}") from exc
-    if count < 1:
-        raise ValidationError(f"grid needs >= 1 points, got {count}")
+    if not 1 <= count <= INTERVAL_GUARD:
+        raise ValidationError(f"grid needs 1..{INTERVAL_GUARD} points, got {count}")
     return np.linspace(lo, hi, count)
 
 
@@ -254,14 +256,10 @@ def cmd_escape(args, out: Path):
     return outputs, digest, ()
 
 
-def _quantize(spec: BakerSpec, N: int, bloch: Tuple[float, float]):
-    return quantize_open(spec, QuantizationConfig(N, bloch))
-
-
 def cmd_spectrum(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
-    quantization = _quantize(spec, args.N, bloch)
+    quantization = quantize_open(spec, QuantizationConfig(args.N, bloch))
     spectrum = eigen_decompose(quantization.open_map)
     outputs = [write_spectrum_csv(out / "spectrum.csv", spectrum.eigenvalues)]
     if args.dump_matrix:
@@ -287,9 +285,11 @@ def cmd_spectrum(args, out: Path):
 def cmd_count(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
+    radii = parse_float_grid(args.r_grid)
     nu = args.nu if args.nu is not None else cantor_dimension(spec)
-    spectrum = eigen_decompose(_quantize(spec, args.N, bloch).open_map)
-    report = count_profile(spectrum, parse_float_grid(args.r_grid), nu)
+    spectrum = eigen_decompose(
+        quantize_open(spec, QuantizationConfig(args.N, bloch)).open_map)
+    report = count_profile(spectrum, radii, nu)
     digest = spec_digest(spec)
     outputs = [
         write_counts_csv(out / "count.csv", report.radii, report.counts,
@@ -323,7 +323,8 @@ def _sweep(spec: BakerSpec, dims: Sequence[int], bloch: Tuple[float, float],
     """(N, measure(eigenvalue moduli)) for each N, one dense map at a time."""
     samples = []
     for N in dims:
-        spectrum = eigen_decompose(_quantize(spec, N, bloch).open_map)
+        spectrum = eigen_decompose(
+            quantize_open(spec, QuantizationConfig(N, bloch)).open_map)
         samples.append((N, measure(np.abs(spectrum.eigenvalues))))
     return samples
 
@@ -449,13 +450,14 @@ def cmd_husimi(args, out: Path):
     _validate_grid(args.grid)
     spec = _spec_from_args(args, allow_decimal=False)
     bloch = parse_bloch(args.bloch)
+    config = QuantizationConfig(args.N, bloch)
+    if not 0 <= args.mode_rank < args.N:
+        raise ValidationError(
+            f"mode rank {args.mode_rank} outside 0..{args.N - 1}")
     eps = (3.0 / math.sqrt(2.0 * math.pi * args.N) if args.thicken == "auto"
            else finite_float(args.thicken))
-    quantization = _quantize(spec, args.N, bloch)
+    quantization = quantize_open(spec, config)
     spectrum = eigen_decompose(quantization.open_map, want_vectors=True)
-    if not 0 <= args.mode_rank < spectrum.dimension:
-        raise ValidationError(
-            f"mode rank {args.mode_rank} outside 0..{spectrum.dimension - 1}")
     mode = spectrum.vectors[:, args.mode_rank]
     mode = mode / np.linalg.norm(mode)
     eigenvalue = complex(spectrum.eigenvalues[args.mode_rank])

@@ -8,9 +8,11 @@ N-dimensional position lattice {j/N} as
 where F_* are (generalized) discrete Fourier transforms and the block
 sizes N*ell_i must be integers.  Opening the map multiplies from the
 right by the 0/1 position projector Pi onto the kept rectangles:
-M_N = U_N Pi.  M_N is a partial isometry: its singular values are
-exactly N*sum(ell_kept) ones and the rest zeros, so all eigenvalues lie
-in the closed unit disk and model resonances with lifetimes
+M_N = U_N Pi.  No Fourier matrix is formed: U_N = apply(I) at
+O(N^2 log N), each F_* applied as one FFT between two diagonal twiddles.
+M_N is a partial isometry: its singular values are exactly
+N*sum(ell_kept) ones and the rest zeros, so all eigenvalues lie in the
+closed unit disk and model resonances with lifetimes
 tau_j = -2 log|lambda_j|.
 
 The Walsh variant replaces F_N by its Walsh-Fourier analogue on the
@@ -22,10 +24,11 @@ digit and recycles the leading digit through the D x D matrix Omega_D
     e_{d0} ox e_{d1} ox ... ox e_{d_{k-1}}
         |->  e_{d1} ox ... ox e_{d_{k-1}} ox (Omega_D e_{d0}).
 
-The dense matrix is M = apply(I), built from this digit-shift apply at
-O(D N^2).  It makes M^k = Omega_D^{otimes k} exactly.  That identity is
-asserted at construction over the whole N x N matrix, with M^k formed
-by k-1 further applications at O(k D N^2).  It reduces the nontrivial
+As in the standard map, the dense matrix is M = apply(I), here built
+from this digit-shift apply at O(D N^2).  It makes
+M^k = Omega_D^{otimes k} exactly.  That identity is asserted at
+construction over the whole N x N matrix, with M^k formed by k-1
+further applications at O(k D N^2).  It reduces the nontrivial
 spectrum to the keep x keep sub-block OmegaTilde_D: n^k nonzero
 eigenvalues whose moduli are products |mu_1|^{a/k} |mu_2|^{(k-a)/k} of
 the sub-block eigenvalue moduli, hence a k-independent spectral radius
@@ -62,7 +65,6 @@ __all__ = [
     "QuantizedMap",
     "OpenQuantization",
     "WalshModel",
-    "gdft",
     "quantize_open",
     "walsh_open",
     "parity_split",
@@ -119,23 +121,26 @@ class OpenQuantization:
     open_map: QuantizedMap
 
 
-def gdft(N: int, bloch: Tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Generalized discrete Fourier transform with boundary phases.
+def _gdft_apply(X: np.ndarray, bloch: Tuple[float, float],
+                inverse: bool = False) -> np.ndarray:
+    """F X, or F^* X when inverse, along axis 0 of an (n, m) block X.
 
-    Entries F[j,k] = N^{-1/2} exp(-2 pi i (j+theta_xi)(k+theta_x)/N);
-    unitary for any phases, reducing to the plain DFT at (0,0).
+    The generalized DFT F[j,k] = n^{-1/2} e^{-2 pi i (j+theta_xi)(k+theta_x)/n}
+    is one orthonormal FFT between the input twiddle e^{-2 pi i theta_xi k/n}
+    and the output twiddle e^{-2 pi i (j+theta_xi) theta_x/n}; F^* runs the
+    conjugate twiddles in reverse order around the inverse FFT.
     """
-    if N < 1:
-        raise ValueError(f"gdft needs N >= 1, got {N}")
+    n = X.shape[0]
+    if n < 1:
+        raise ValueError(f"a generalized DFT needs n >= 1, got {n}")
     theta_x, theta_xi = bloch
-    idx = np.arange(N)
-    # (j+txi)(k+tx) = jk + j tx + k txi + txi tx; the jk term is reduced
-    # mod N in integer arithmetic, otherwise the exp argument grows to
-    # ~N and the unitarity defect picks up an N*eps phase error
-    quad = np.mod(np.outer(idx, idx), N).astype(float)
-    cross = (idx[:, None] * theta_x + idx[None, :] * theta_xi
-             + theta_xi * theta_x)
-    return np.exp((-2j * np.pi / N) * (quad + cross)) / np.sqrt(N)
+    idx = np.arange(n)[:, None]
+    twiddle_in = np.exp((-2j * np.pi / n) * theta_xi * idx)
+    twiddle_out = np.exp((-2j * np.pi / n) * (idx + theta_xi) * theta_x)
+    if inverse:
+        return twiddle_in.conj() * np.fft.ifft(twiddle_out.conj() * X, axis=0,
+                                               norm="ortho")
+    return twiddle_out * np.fft.fft(twiddle_in * X, axis=0, norm="ortho")
 
 
 def _block_sizes(spec: BakerSpec, N: int) -> Tuple[int, ...]:
@@ -162,9 +167,10 @@ def quantize_open(spec: BakerSpec, config: QuantizationConfig) -> OpenQuantizati
     inner = np.zeros((N, N), dtype=complex)
     offset = 0
     for size in sizes:
-        inner[offset:offset + size, offset:offset + size] = gdft(size, config.bloch)
+        inner[offset:offset + size, offset:offset + size] = _gdft_apply(
+            np.eye(size), config.bloch)
         offset += size
-    U = gdft(N, config.bloch).conj().T @ inner
+    U = _gdft_apply(inner, config.bloch, inverse=True)
 
     diag = np.zeros(N)
     offset = 0

@@ -249,22 +249,22 @@ def trapped_quasiprojector(spec: BakerSpec, config: QuantizationConfig,
     return Quasiprojector(diag, level, int(diag.sum()))
 
 
-def _projector_split(projector: np.ndarray, N: int):
-    """Validate a projector (0/1 diagonal vector, or Hermitian idempotent
-    matrix) and return orthonormal bases (V, W) of its range and kernel.
+def _split(M: np.ndarray, projector: np.ndarray):
+    """Validate a projector and return (M', kept, rest): M in a basis where
+    the projector is diagonal, with the indices of its range and kernel.
 
-    For the diagonal form V and W are None and index arrays are returned
-    instead, letting callers slice blocks directly.
+    A 0/1 diagonal vector leaves M as it is.  A Hermitian idempotent
+    matrix rotates M once, M' = Q^* M Q with Q = [V W] from eigh, so that
+    ran(Pi) is spanned by the leading rank(Pi) coordinates.
     """
+    N = M.shape[0]
     P = np.asarray(projector)
     if P.ndim == 1:
         if P.shape != (N,):
             raise ValueError(f"diagonal projector length {P.shape} != {N}")
         if not np.all((P == 0.0) | (P == 1.0)):
             raise ValueError("diagonal projector entries must be exactly 0 or 1")
-        kept = np.flatnonzero(P == 1.0)
-        rest = np.flatnonzero(P == 0.0)
-        return kept, rest, None, None
+        return M, np.flatnonzero(P == 1.0), np.flatnonzero(P == 0.0)
     if P.shape != (N, N):
         raise ValueError(f"projector shape {P.shape} incompatible with N={N}")
     if np.linalg.norm(P - P.conj().T, "fro") > 1e-8:
@@ -274,25 +274,17 @@ def _projector_split(projector: np.ndarray, N: int):
     values, vectors = np.linalg.eigh(P)
     if not np.all((np.abs(values) < 1e-6) | (np.abs(values - 1.0) < 1e-6)):
         raise ValueError("projector eigenvalues are not 0/1")
-    V = vectors[:, values > 0.5]
-    W = vectors[:, values <= 0.5]
-    return None, None, V, W
+    ones = values > 0.5
+    Q = np.concatenate([vectors[:, ones], vectors[:, ~ones]], axis=1)
+    rank = int(ones.sum())
+    return Q.conj().T @ M @ Q, np.arange(rank), np.arange(rank, N)
 
 
 def _blocks(M: np.ndarray, projector: np.ndarray):
     """Blocks (A, B, C, D) of M in the ran(Pi) + ker(Pi) splitting."""
-    N = M.shape[0]
-    kept, rest, V, W = _projector_split(projector, N)
-    if V is None:
-        A = M[np.ix_(kept, kept)]
-        B = M[np.ix_(kept, rest)]
-        C = M[np.ix_(rest, kept)]
-        D = M[np.ix_(rest, rest)]
-    else:
-        Vh, Wh = V.conj().T, W.conj().T
-        A, B = Vh @ M @ V, Vh @ M @ W
-        C, D = Wh @ M @ V, Wh @ M @ W
-    return A, B, C, D
+    M, kept, rest = _split(M, projector)
+    return (M[np.ix_(kept, kept)], M[np.ix_(kept, rest)],
+            M[np.ix_(rest, kept)], M[np.ix_(rest, rest)])
 
 
 def _nonzero_columns(matrix: np.ndarray) -> np.ndarray:
@@ -316,19 +308,18 @@ def residual_decay(matrix: MatrixLike, projector: np.ndarray,
     does every power: M^m[:, nz] = M^{m-1}[:, nz] M[nz, nz].  The powers
     are iterated on these N x |nz| blocks; the zero columns leave the
     2-norm unchanged.  nz is read off the matrix, so a dense input with
-    no zero column takes the same path.
+    no zero column, or one rotated by a matrix projector, takes the same
+    path.
     """
     _check_m_max(m_max)
-    M = _as_matrix(matrix)
-    N = M.shape[0]
-    kept, rest, V, W = _projector_split(projector, N)
+    M, _, rest = _split(_as_matrix(matrix), projector)
     nz = _nonzero_columns(M)
     step = M[np.ix_(nz, nz)]
 
     norms = []
     power = M[:, nz]
     for m in range(1, m_max + 1):
-        complement = power[rest] if V is None else W.conj().T @ power
+        complement = power[rest]
         norms.append(float(np.linalg.norm(complement, 2)) if complement.size else 0.0)
         if m < m_max:
             power = power @ step

@@ -25,6 +25,7 @@ from oqmap.cli import (
     parse_keep,
     parse_rational,
 )
+from oqmap.classical import INTERVAL_GUARD
 from oqmap.errors import NumericalError, ValidationError
 from oqmap.serialize import read_matrix, sha256_file
 
@@ -100,6 +101,12 @@ class TestParsing:
             parse_dimensions("a:b:c")
         with pytest.raises(ValidationError):
             parse_dimensions("0")
+        # the guard applies to the largest value in the range, not to stop
+        assert parse_dimensions("4990:5005:20") == [4990]
+        with pytest.raises(ValidationError, match="dense guard"):
+            parse_dimensions("4990:5010:20")
+        with pytest.raises(ValidationError, match="dense guard"):
+            parse_dimensions("5001")
 
     def test_float_grid(self):
         grid = parse_float_grid("0.0:1.0:5")
@@ -110,6 +117,8 @@ class TestParsing:
             parse_float_grid("0:1:0")
         with pytest.raises(ValidationError):
             parse_float_grid("nan:1:3")
+        with pytest.raises(ValidationError):
+            parse_float_grid(f"0:1:{INTERVAL_GUARD + 1}")
 
     def test_finite_float(self):
         assert finite_float("1e-8") == 1e-8
@@ -470,6 +479,29 @@ def test_non_finite_or_vacuous_input_exits_2(tmp_path, argv):
     out = tmp_path / "out"
     assert exit_status([*argv, "--outdir", out]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl-fit", *D3, "--N", f"1:{HUGE}:1", "--radius", "0.5"],
+    ["radius-scan", *D5, "--N", f"5:{HUGE}:5"],
+    ["thermo", *D3, f"--s-grid=0:1:{HUGE}"],
+    ["count", *D3, "--N", "27", "--r-grid", f"0.1:1:{HUGE}"],
+    [*HUSIMI, "--mode-rank", "27"],
+], ids=lambda argv: argv[0])
+def test_oversized_input_exits_2_before_allocating(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+    tracemalloc.start()
+    try:
+        status = run([*argv, "--outdir", tmp_path])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert peak < 1 << 20
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name,argv", CLI_RUNS, ids=[n for n, _ in CLI_RUNS])

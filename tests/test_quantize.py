@@ -3,11 +3,15 @@ the Walsh tensor model, parity splitting, and diagonal perturbations.
 
 Matrix-level claims are checked against literal loop evaluations of the
 defining formulas and against closed-form eigenvalues where the blocks
-are small enough to solve by hand (2x2 quadratic formula).
+are small enough to solve by hand (2x2 quadratic formula).  The FFT
+build of the standard map is checked against the dense Fourier-matrix
+product it replaced.
 """
 
 import cmath
+import inspect
 import math
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -19,7 +23,6 @@ from oqmap import (
     QuantizationConfig,
     apply_diagonal_phases,
     eigen_decompose,
-    gdft,
     match_spectra,
     parity_split,
     quantize_open,
@@ -36,9 +39,10 @@ from oqmap.errors import (
     SolverFailure,
 )
 
-from oqmap.quantize import _block_sizes
+import oqmap.quantize
+from oqmap.quantize import _block_sizes, _gdft_apply
 
-from conftest import get_quantization, get_walsh, get_walsh_spectrum
+from conftest import get_quantization, get_spec, get_walsh, get_walsh_spectrum
 
 
 def unitarity_defect(U: np.ndarray) -> float:
@@ -61,34 +65,91 @@ def walsh_scatter(omega: np.ndarray, k: int) -> np.ndarray:
     return M
 
 
+def gdft(N: int, bloch=(0.0, 0.0)) -> np.ndarray:
+    """Dense generalized DFT F[j,k] = N^{-1/2} e^{-2 pi i (j+txi)(k+tx)/N},
+    with the jk term reduced mod N in integer arithmetic."""
+    theta_x, theta_xi = bloch
+    idx = np.arange(N)
+    quad = np.mod(np.outer(idx, idx), N).astype(float)
+    cross = (idx[:, None] * theta_x + idx[None, :] * theta_xi
+             + theta_xi * theta_x)
+    return np.exp((-2j * np.pi / N) * (quad + cross)) / np.sqrt(N)
+
+
+def matmul_unitary(sizes, bloch) -> np.ndarray:
+    """U = F_N^dagger @ blockdiag(F_size): the O(N^3) dense-matrix build."""
+    N = sum(sizes)
+    inner = np.zeros((N, N), dtype=complex)
+    offset = 0
+    for size in sizes:
+        inner[offset:offset + size, offset:offset + size] = gdft(size, bloch)
+        offset += size
+    return gdft(N, bloch).conj().T @ inner
+
+
+def fft_build_deviation(tag: str, N: int, bloch) -> float:
+    """Max entry deviation of quantize_open's U from the matmul build."""
+    quant = quantize_open(get_spec(tag), QuantizationConfig(N, bloch))
+    U = quant.unitary.matrix
+    return float(np.abs(U - matmul_unitary(quant.unitary.block_sizes, bloch)).max())
+
+
 # ---------------------------------------------------------------------------
-# generalized DFT
+# generalized DFT, applied by FFT
 # ---------------------------------------------------------------------------
 
 class TestGdft:
     def test_trivial_dimension(self):
-        assert np.allclose(gdft(1), [[1.0]], atol=1e-15)
+        assert np.allclose(_gdft_apply(np.eye(1), (0.0, 0.0)), [[1.0]], atol=1e-15)
 
     def test_two_by_two_exact(self):
         want = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        assert np.abs(gdft(2) - want).max() <= 1e-15
+        assert np.abs(_gdft_apply(np.eye(2), (0.0, 0.0)) - want).max() <= 1e-15
 
     def test_loop_formula_oracle(self):
         N, tx, txi = 7, 0.3, 0.6
-        got = gdft(N, (tx, txi))
+        got = _gdft_apply(np.eye(N), (tx, txi))
+        got_inverse = _gdft_apply(np.eye(N), (tx, txi), inverse=True)
         for j in range(N):
             for k in range(N):
                 want = cmath.exp(-2j * cmath.pi * (j + txi) * (k + tx) / N) \
                     / math.sqrt(N)
                 assert abs(got[j, k] - want) <= 1e-14
+                # F^dagger[k, j] = conj(F[j, k])
+                assert abs(got_inverse[k, j] - want.conjugate()) <= 1e-14
 
     def test_unitary_with_bloch_phases(self):
-        assert unitarity_defect(gdft(4, (0.5, 0.5))) <= 1e-14
-        assert unitarity_defect(gdft(12, (0.17, 0.83))) <= 1e-13
+        assert unitarity_defect(_gdft_apply(np.eye(4), (0.5, 0.5))) <= 1e-14
+        assert unitarity_defect(_gdft_apply(np.eye(12), (0.17, 0.83))) <= 1e-13
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            gdft(0)
+            _gdft_apply(np.zeros((0, 0)), (0.0, 0.0))
+
+
+BUILD_CASES = [("D3", 243), ("D3", 972), ("D5", 500), ("D5", 1000), ("asym", 256)]
+BLOCH_CASES = [(0.0, 0.0), (0.5, 0.5), (0.3, 0.7)]
+
+
+class TestFftBuild:
+    @pytest.mark.parametrize("bloch", BLOCH_CASES, ids=lambda b: f"{b[0]},{b[1]}")
+    @pytest.mark.parametrize("tag,N", BUILD_CASES)
+    def test_matches_matmul_build(self, tag, N, bloch):
+        assert fft_build_deviation(tag, N, bloch) <= 1e-14
+
+    @pytest.mark.parametrize("original,replacement", [
+        ("twiddle_in = np.exp(", "twiddle_in = 1 + 0 * np.exp("),
+        ("twiddle_out = np.exp(", "twiddle_out = 1 + 0 * np.exp("),
+        ("np.fft.ifft(", "np.fft.fft("),
+    ], ids=["no input twiddle", "no output twiddle", "fft for ifft"])
+    def test_mutant_is_caught(self, original, replacement, monkeypatch):
+        source = textwrap.dedent(inspect.getsource(oqmap.quantize._gdft_apply))
+        mutant = source.replace(original, replacement)
+        assert mutant != source
+        namespace = dict(vars(oqmap.quantize))
+        exec(mutant, namespace)
+        monkeypatch.setattr(oqmap.quantize, "_gdft_apply", namespace["_gdft_apply"])
+        assert fft_build_deviation("D3", 27, (0.3, 0.7)) > 1e-3
 
 
 # ---------------------------------------------------------------------------

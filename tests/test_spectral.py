@@ -34,7 +34,6 @@ from oqmap.spectral import (
     _blocks,
     _effective_pieces,
     _nonzero_columns,
-    _projector_split,
 )
 
 from conftest import get_open_spectrum, get_quantization
@@ -344,10 +343,22 @@ def full_inverse_pieces(A, B, C, D, lam, derivative=True):
     return E, dE
 
 
+def projector_split(projector):
+    """Index arrays (kept, rest) of a 0/1 diagonal projector, or orthonormal
+    bases (V, W) of the range and kernel of a Hermitian idempotent matrix;
+    the other pair is None.  Validation is left to the library side."""
+    P = np.asarray(projector)
+    if P.ndim == 1:
+        return np.flatnonzero(P == 1.0), np.flatnonzero(P == 0.0), None, None
+    values, vectors = np.linalg.eigh(P)
+    return None, None, vectors[:, values > 0.5], vectors[:, values <= 0.5]
+
+
 def full_power_residual_decay(matrix, projector, m_max=6):
-    """||(I - Pi) M^m||_2 from full N x N powers and full SVDs."""
+    """||(I - Pi) M^m||_2 from full N x N powers and full SVDs, with
+    (I - Pi) applied unrotated, as W^* for a matrix projector."""
     M = np.asarray(getattr(matrix, "matrix", matrix))
-    kept, rest, V, W = _projector_split(projector, M.shape[0])
+    kept, rest, V, W = projector_split(projector)
     norms, power = [], M.copy()
     for _ in range(m_max):
         complement = power[rest, :] if V is None else W.conj().T @ power
