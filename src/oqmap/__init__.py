@@ -69,7 +69,6 @@ from .quantize import (
     QuantizedMap,
     WalshModel,
     apply_diagonal_phases,
-    parity_split,
     quantize_open,
     walsh_open,
 )
@@ -99,7 +98,7 @@ __all__ = [
     "trapped_cover", "validate_spec", "word_interval",
     # quantize
     "OpenQuantization", "QuantizationConfig", "QuantizedMap", "WalshModel",
-    "apply_diagonal_phases", "parity_split", "quantize_open", "walsh_open",
+    "apply_diagonal_phases", "quantize_open", "walsh_open",
     # spectral
     "CountReport", "EffectiveHamiltonianReport", "Quasiprojector", "Spectrum",
     "WeylFit", "count_profile", "effective_hamiltonian", "eigen_decompose",

@@ -259,21 +259,20 @@ def cmd_escape(args, out: Path):
 def cmd_spectrum(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
-    quantization = quantize_open(spec, QuantizationConfig(args.N, bloch))
-    spectrum = eigen_decompose(quantization.open_map)
+    qmap = quantize_open(spec, QuantizationConfig(args.N, bloch)).open_map
+    spectrum = eigen_decompose(qmap)
     outputs = [write_spectrum_csv(out / "spectrum.csv", spectrum.eigenvalues)]
     if args.dump_matrix:
-        outputs.append(write_matrix(out / "spectrum_matrix.bin",
-                                    quantization.open_map.matrix))
+        outputs.append(write_matrix(out / "spectrum_matrix.bin", qmap.matrix))
         if args.N <= 64:
             outputs.append(write_matrix_csv(out / "spectrum_matrix.csv",
-                                            quantization.open_map.matrix))
+                                            qmap.matrix))
     digest = spec_digest(spec)
     payload = {
         "spec_digest": digest,
         "N": args.N,
         "bloch": list(bloch),
-        "kind": quantization.open_map.kind,
+        "kind": qmap.kind,
         "backward_error": spectrum.backward_error,
         "spectral_radius": float(np.abs(spectrum.eigenvalues).max()),
         "eigenvalue_count": spectrum.dimension,
@@ -375,25 +374,28 @@ def cmd_walsh(args, out: Path):
         raise ValidationError(f"threshold must be >= 0, got {args.threshold}")
     keep = parse_keep(args.keep)
     model = walsh_open(args.branches, keep, args.word_length)
-    qmap = model.open_map
+    qmap, omega_tilde = model.open_map, model.omega_tilde
+    keep, dimension = model.keep, model.dimension
+    # the model must not keep the unphased matrix alive beside its rotation
+    del model
     if args.phases_seed is not None:
         qmap = apply_diagonal_phases(qmap, seed=args.phases_seed)
     spectrum = eigen_decompose(qmap)
     moduli = np.abs(spectrum.eigenvalues)
-    n = len(model.keep)
-    r_c = float(abs(np.linalg.det(model.omega_tilde))) ** (1.0 / n)
+    n = len(keep)
+    r_c = float(abs(np.linalg.det(omega_tilde))) ** (1.0 / n)
     payload = {
         "branches": args.branches,
-        "keep": list(model.keep),
+        "keep": list(keep),
         "word_length": args.word_length,
-        "dimension": model.dimension,
+        "dimension": dimension,
         "phases_seed": args.phases_seed,
         "threshold": args.threshold,
         "nontrivial_count": int(np.count_nonzero(moduli > args.threshold)),
         "spectral_radius": float(moduli.max()),
         "radius_bound": n / math.sqrt(args.branches),
         "r_c": r_c,
-        "omega_tilde_eigenvalues": list(np.linalg.eigvals(model.omega_tilde)),
+        "omega_tilde_eigenvalues": list(np.linalg.eigvals(omega_tilde)),
         "backward_error": spectrum.backward_error,
     }
     outputs = [
@@ -410,11 +412,11 @@ def cmd_effective(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=False)
     bloch = parse_bloch(args.bloch)
     config = QuantizationConfig(args.N, bloch)
-    quantization = quantize_open(spec, config)
+    qmap = quantize_open(spec, config).open_map
     quasi = trapped_quasiprojector(spec, config, args.level)
     probes = [args.probe_radius * np.exp(2j * np.pi * j / args.probe_count)
               for j in range(args.probe_count)]
-    report = effective_hamiltonian(quantization.open_map, quasi.diagonal,
+    report = effective_hamiltonian(qmap, quasi.diagonal,
                                    probes, args.radius, m_max=args.m_max)
     lines = ["index,eig_re,eig_im,root_re,root_im,distance"]
     for i, (eig, root) in enumerate(zip(report.outer_eigenvalues,
@@ -456,8 +458,8 @@ def cmd_husimi(args, out: Path):
             f"mode rank {args.mode_rank} outside 0..{args.N - 1}")
     eps = (3.0 / math.sqrt(2.0 * math.pi * args.N) if args.thicken == "auto"
            else finite_float(args.thicken))
-    quantization = quantize_open(spec, config)
-    spectrum = eigen_decompose(quantization.open_map, want_vectors=True)
+    spectrum = eigen_decompose(quantize_open(spec, config).open_map,
+                               want_vectors=True)
     mode = spectrum.vectors[:, args.mode_rank]
     mode = mode / np.linalg.norm(mode)
     eigenvalue = complex(spectrum.eigenvalues[args.mode_rank])

@@ -27,8 +27,10 @@ digit and recycles the leading digit through the D x D matrix Omega_D
 As in the standard map, the dense matrix is M = apply(I), here built
 from this digit-shift apply at O(D N^2).  It makes
 M^k = Omega_D^{otimes k} exactly.  That identity is asserted at
-construction over the whole N x N matrix, with M^k formed by k-1
-further applications at O(k D N^2).  It reduces the nontrivial
+construction on all N^2 entries, with M^k formed by k-1 further
+applications at O(k D N^2).  Build and check run one column block at a
+time (the words sharing their leading k // 2 digits), so they hold one
+N x N matrix plus O(N D^(k - k//2)).  The identity reduces the nontrivial
 spectrum to the keep x keep sub-block OmegaTilde_D: n^k nonzero
 eigenvalues whose moduli are products |mu_1|^{a/k} |mu_2|^{(k-a)/k} of
 the sub-block eigenvalue moduli, hence a k-independent spectral radius
@@ -36,8 +38,7 @@ and a counting step at r_c = |det OmegaTilde_D|^{1/n}.
 
 Bloch phases: the plain DFT (theta = (0,0)) matches the displayed
 quantization; the antiperiodic choice (1/2, 1/2) is the convention under
-which the parity operator R: j -> N-1-j commutes with U_N exactly, which
-parity_split checks rather than assumes.
+which the parity operator R: j -> N-1-j commutes with U_N exactly.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ import numpy as np
 
 from .classical import BakerSpec, spec_digest, symmetric_spec
 from .errors import (
-    AsymmetricSpec,
     DimensionGuard,
     DivisibilityError,
     EndpointMismatch,
     LengthMismatch,
-    ParityNotExact,
     SolverFailure,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "WalshModel",
     "quantize_open",
     "walsh_open",
-    "parity_split",
     "apply_diagonal_phases",
 ]
 
@@ -242,8 +240,14 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     The dense map is M = apply(I), where apply shifts the digit word left
     and feeds the recycled leading digit through Omega_D.  k applications
     touch every digit once, so M^k = Omega_D^{otimes k} must hold to 1e-12
-    in max norm over all N^2 entries (checked).  M^k is formed by k-1
-    further applications, at O(k D N^2).
+    in max norm over all N^2 entries (checked).
+
+    Both run in one loop over column blocks.  Block b holds the columns
+    whose leading t = k // 2 digits spell b, D^(k-t) of them.  Its part of
+    M is apply of that slice of I; k-1 further applications give its part
+    of M^k, which must equal kron(head_b, Omega_D^{otimes (k-t)}), head_b
+    being the kron of Omega_D's columns for b's digits.  The work is
+    O(k D N^2) and the memory one N x N matrix plus O(N D^(k-t)).
     """
     spec = symmetric_spec(D, keep)  # validates D/keep and gives the digest
     keep_t = spec.keep
@@ -255,17 +259,30 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
 
     omega, omega_tilde = _walsh_omega(D, keep_t)
 
-    M = _walsh_apply(omega, np.eye(N, dtype=complex))
-    # BLAS leaves -0.0 where Omega meets the identity's zeros; adding +0.0
-    # turns them into +0.0, so M has the bits of a direct entry scatter
-    M += 0.0
-    power = M
-    for _ in range(k - 1):
-        power = _walsh_apply(omega, power)
-    tensor = omega.copy()
-    for _ in range(k - 1):
-        tensor = np.kron(tensor, omega)
-    defect = np.abs(power - tensor).max()
+    t = k // 2
+    width = D ** (k - t)
+    tail = omega
+    for _ in range(k - t - 1):
+        tail = np.kron(tail, omega)
+    M = np.empty((N, N), dtype=complex)
+    defect = 0.0
+    diagonal = np.arange(width)
+    for b in range(D ** t):
+        identity = np.zeros((N, width), dtype=complex)
+        identity[b * width + diagonal, diagonal] = 1.0
+        block = _walsh_apply(omega, identity)
+        # BLAS leaves -0.0 where Omega meets the identity's zeros; adding
+        # +0.0 turns them into +0.0, so M has the bits of a direct scatter
+        block += 0.0
+        M[:, b * width:(b + 1) * width] = block
+        for _ in range(k - 1):
+            block = _walsh_apply(omega, block)
+        head = np.ones(1)
+        for d in np.unravel_index(b, (D,) * t):  # big-endian digits of b
+            head = np.kron(head, omega[:, d])
+        # np.maximum keeps a NaN defect, which the gate below refuses
+        defect = np.maximum(defect, np.abs(
+            block - np.kron(head[:, None], tail)).max())
     if not defect <= 1e-12:
         raise SolverFailure(f"Walsh power identity violated: max defect {defect:.3e}")
 
@@ -274,64 +291,8 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
 
 
 # ---------------------------------------------------------------------------
-# symmetry and perturbations
+# perturbations
 # ---------------------------------------------------------------------------
-
-def parity_split(qmap: QuantizedMap) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Compress an open map onto the +-1 eigenspaces of the reflection.
-
-    Requires a reflection-symmetric rectangle structure; reports the
-    commutator norm ||MR - RM||_2 and raises ParityNotExact when it
-    exceeds 1e-8 (plain-DFT boundary conditions break parity; Bloch
-    phases (1/2, 1/2) restore it to machine precision).  On success the
-    two compressions' spectra are verified to reassemble spec(M) within
-    1e-6; returns (M_even, M_odd, commutator_norm).
-    """
-    if qmap.block_sizes is None:
-        raise AsymmetricSpec("map carries no rectangle structure to reflect")
-    sizes = qmap.block_sizes
-    D = len(sizes)
-    if tuple(reversed(sizes)) != sizes:
-        raise AsymmetricSpec(f"block sizes {sizes} not reflection-symmetric")
-    if tuple(sorted(D - 1 - i for i in qmap.keep)) != qmap.keep:
-        raise AsymmetricSpec(f"keep set {qmap.keep} not reflection-symmetric")
-
-    M = qmap.matrix
-    N = M.shape[0]
-    # M @ R reverses columns, R @ M reverses rows
-    commutator_norm = float(np.linalg.norm(M[:, ::-1] - M[::-1, :], 2))
-    if commutator_norm > 1e-8:
-        raise ParityNotExact(commutator_norm)
-
-    half = N // 2
-    n_even = half + (N % 2)
-    basis_even = np.zeros((N, n_even))
-    basis_odd = np.zeros((N, half))
-    root_half = np.sqrt(0.5)
-    for col, j in enumerate(range(half)):
-        basis_even[j, col] = root_half
-        basis_even[N - 1 - j, col] = root_half
-        basis_odd[j, col] = root_half
-        basis_odd[N - 1 - j, col] = -root_half
-    if N % 2:
-        basis_even[half, n_even - 1] = 1.0  # the fixed middle site is even
-
-    m_even = basis_even.T @ M @ basis_even
-    m_odd = basis_odd.T @ M @ basis_odd
-
-    # the split must be lossless: spectra of the blocks reassemble spec(M)
-    from .spectral import match_spectra  # spectral imports this module
-
-    full = np.sort_complex(np.linalg.eigvals(M))
-    parts = np.sort_complex(np.concatenate([
-        np.linalg.eigvals(m_even), np.linalg.eigvals(m_odd)]))
-    _, lost, extra = match_spectra(full, parts, tol=1e-6)
-    unmatched = len(lost) + len(extra)
-    if unmatched:
-        raise SolverFailure(
-            f"parity blocks lost {unmatched} eigenvalues beyond tolerance 1e-6")
-    return m_even, m_odd, commutator_norm
-
 
 def apply_diagonal_phases(qmap: Union[QuantizedMap, np.ndarray],
                           phases: Optional[Sequence[float]] = None,

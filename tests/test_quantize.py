@@ -5,7 +5,9 @@ Matrix-level claims are checked against literal loop evaluations of the
 defining formulas and against closed-form eigenvalues where the blocks
 are small enough to solve by hand (2x2 quadratic formula).  The FFT
 build of the standard map is checked against the dense Fourier-matrix
-product it replaced.
+product it replaced, and the Walsh build against an entry-by-entry
+scatter.  The parity split, which checks the reflection symmetry of the
+standard map with Bloch phases (1/2, 1/2), lives here as a helper.
 """
 
 import cmath
@@ -24,7 +26,6 @@ from oqmap import (
     apply_diagonal_phases,
     eigen_decompose,
     match_spectra,
-    parity_split,
     quantize_open,
     symmetric_spec,
     walsh_open,
@@ -40,6 +41,7 @@ from oqmap.errors import (
 )
 
 import oqmap.quantize
+import oqmap.spectral
 from oqmap.quantize import _block_sizes, _gdft_apply
 
 from conftest import get_quantization, get_spec, get_walsh, get_walsh_spectrum
@@ -92,6 +94,60 @@ def fft_build_deviation(tag: str, N: int, bloch) -> float:
     quant = quantize_open(get_spec(tag), QuantizationConfig(N, bloch))
     U = quant.unitary.matrix
     return float(np.abs(U - matmul_unitary(quant.unitary.block_sizes, bloch)).max())
+
+
+def parity_split(qmap):
+    """Compress an open map onto the +-1 eigenspaces of the reflection.
+
+    Requires a reflection-symmetric rectangle structure; reports the
+    commutator norm ||MR - RM||_2 and raises ParityNotExact when it
+    exceeds 1e-8 (plain-DFT boundary conditions break parity; Bloch
+    phases (1/2, 1/2) restore it to machine precision).  On success the
+    two compressions' spectra are verified to reassemble spec(M) within
+    1e-6; returns (M_even, M_odd, commutator_norm).
+    """
+    if qmap.block_sizes is None:
+        raise AsymmetricSpec("map carries no rectangle structure to reflect")
+    sizes = qmap.block_sizes
+    D = len(sizes)
+    if tuple(reversed(sizes)) != sizes:
+        raise AsymmetricSpec(f"block sizes {sizes} not reflection-symmetric")
+    if tuple(sorted(D - 1 - i for i in qmap.keep)) != qmap.keep:
+        raise AsymmetricSpec(f"keep set {qmap.keep} not reflection-symmetric")
+
+    M = qmap.matrix
+    N = M.shape[0]
+    # M @ R reverses columns, R @ M reverses rows
+    commutator_norm = float(np.linalg.norm(M[:, ::-1] - M[::-1, :], 2))
+    if commutator_norm > 1e-8:
+        raise ParityNotExact(commutator_norm)
+
+    half = N // 2
+    n_even = half + (N % 2)
+    basis_even = np.zeros((N, n_even))
+    basis_odd = np.zeros((N, half))
+    root_half = np.sqrt(0.5)
+    for col, j in enumerate(range(half)):
+        basis_even[j, col] = root_half
+        basis_even[N - 1 - j, col] = root_half
+        basis_odd[j, col] = root_half
+        basis_odd[N - 1 - j, col] = -root_half
+    if N % 2:
+        basis_even[half, n_even - 1] = 1.0  # the fixed middle site is even
+
+    m_even = basis_even.T @ M @ basis_even
+    m_odd = basis_odd.T @ M @ basis_odd
+
+    # the split must be lossless: spectra of the blocks reassemble spec(M)
+    full = np.sort_complex(np.linalg.eigvals(M))
+    parts = np.sort_complex(np.concatenate([
+        np.linalg.eigvals(m_even), np.linalg.eigvals(m_odd)]))
+    _, lost, extra = oqmap.spectral.match_spectra(full, parts, tol=1e-6)
+    unmatched = len(lost) + len(extra)
+    if unmatched:
+        raise SolverFailure(
+            f"parity blocks lost {unmatched} eigenvalues beyond tolerance 1e-6")
+    return m_even, m_odd, commutator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +316,7 @@ class TestWalsh:
         (3, (0, 2), 4), (3, (0, 2), 7), (4, (0, 2), 3), (4, (0, 1, 3), 5),
         (5, (1, 3), 4), (6, (1, 4), 4), (6, (0, 2, 4), 4),
         *[(3, (0, 2), k) for k in range(1, 7)],
+        (2, (0,), 12),  # N = 4096, the largest D^k under the dense guard
     ])
     def test_apply_build_matches_scatter(self, D, keep, k):
         model = walsh_open(D, keep, k)
@@ -281,6 +338,45 @@ class TestWalsh:
         monkeypatch.setattr("oqmap.quantize._walsh_apply", no_shift)
         with pytest.raises(SolverFailure):
             walsh_open(3, (0, 2), 3)
+
+    def test_corrupted_last_block_fails_self_check(self, monkeypatch):
+        # doubling only the image of the last basis vector spoils the last
+        # column block alone; the check must still see it
+        real_apply = oqmap.quantize._walsh_apply
+        widths = []
+
+        def corrupt_last_column(omega, X):
+            out = real_apply(omega, X)
+            if X[-1, -1] == 1.0 and np.count_nonzero(X[:, -1]) == 1:
+                widths.append(X.shape[1])
+                out[:, -1] *= 2.0
+            return out
+
+        monkeypatch.setattr(oqmap.quantize, "_walsh_apply", corrupt_last_column)
+        with pytest.raises(SolverFailure):
+            walsh_open(3, (0, 2), 7)
+        assert widths == [3 ** 4]  # one block of D^(k - k//2) columns
+
+    def test_reversed_head_digits_are_caught(self):
+        source = textwrap.dedent(inspect.getsource(oqmap.quantize.walsh_open))
+        original = "np.unravel_index(b, (D,) * t)"
+        mutant = source.replace(original, original + "[::-1]")
+        assert mutant != source
+        namespace = dict(vars(oqmap.quantize))
+        exec(mutant, namespace)
+        with pytest.raises(SolverFailure):
+            namespace["walsh_open"](3, (0, 2), 4)
+
+    def test_build_holds_one_dense_matrix(self):
+        # M itself takes 16 N^2 bytes; the block loop adds O(N D^(k-k//2))
+        N = 3 ** 7
+        tracemalloc.start()
+        try:
+            walsh_open(3, (0, 2), 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 16 * N * N
 
     def test_nontrivial_count_small(self):
         for k in (1, 2, 3):
