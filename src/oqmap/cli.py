@@ -44,7 +44,7 @@ from .quantize import (
     DENSE_GUARD,
     QuantizationConfig,
     _block_sizes,
-    apply_diagonal_phases,
+    _phase_factors,
     quantize_open,
     walsh_open,
 )
@@ -376,10 +376,12 @@ def cmd_walsh(args, out: Path):
     model = walsh_open(args.branches, keep, args.word_length)
     qmap, omega_tilde = model.open_map, model.omega_tilde
     keep, dimension = model.keep, model.dimension
-    # the model must not keep the unphased matrix alive beside its rotation
     del model
     if args.phases_seed is not None:
-        qmap = apply_diagonal_phases(qmap, seed=args.phases_seed)
+        # this command owns the only reference to the map, so it rotates it
+        # in place, with the operands of apply_diagonal_phases in their order
+        np.multiply(_phase_factors(dimension, seed=args.phases_seed)[:, None],
+                    qmap.matrix, out=qmap.matrix)
     spectrum = eigen_decompose(qmap)
     moduli = np.abs(spectrum.eigenvalues)
     n = len(keep)
@@ -458,11 +460,15 @@ def cmd_husimi(args, out: Path):
             f"mode rank {args.mode_rank} outside 0..{args.N - 1}")
     eps = (3.0 / math.sqrt(2.0 * math.pi * args.N) if args.thicken == "auto"
            else finite_float(args.thicken))
-    spectrum = eigen_decompose(quantize_open(spec, config).open_map,
-                               want_vectors=True)
+    qmap = quantize_open(spec, config).open_map
+    spectrum = eigen_decompose(qmap, want_vectors=True)
     mode = spectrum.vectors[:, args.mode_rank]
     mode = mode / np.linalg.norm(mode)
     eigenvalue = complex(spectrum.eigenvalues[args.mode_rank])
+    mode_residual = float(np.linalg.norm(qmap.matrix @ mode - eigenvalue * mode))
+    backward_error = spectrum.backward_error
+    # only this one mode is used below: free the map and the N x N vectors
+    del qmap, spectrum
 
     frame = CoherentFrame(args.N, bloch)
     report = husimi_report(mode, frame, args.grid, spec, args.level, eps)
@@ -476,13 +482,14 @@ def cmd_husimi(args, out: Path):
         "eigenvalue": eigenvalue,
         "modulus": modulus,
         "lifetime": math.inf if modulus == 0 else -2.0 * math.log(modulus),
+        "mode_residual": mode_residual,
         "grid": args.grid,
         "cover_level": args.level,
         "thickening": report.thickening,
         "mass_near_kplus": report.mass_near_kplus,
         "area_fraction": report.area_fraction,
         "enhancement_ratio": report.enhancement_ratio,
-        "backward_error": spectrum.backward_error,
+        "backward_error": backward_error,
     }
     outputs = [
         write_husimi_csv(out / "husimi.csv", report.field),

@@ -294,6 +294,19 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
 # perturbations
 # ---------------------------------------------------------------------------
 
+def _phase_factors(N: int, phases: Optional[Sequence[float]] = None,
+                   seed: Optional[int] = None) -> np.ndarray:
+    """The diagonal e^{i phi_j}, from explicit angles or a seeded uniform draw."""
+    if phases is None:
+        if seed is None:
+            raise LengthMismatch("provide either explicit phases or a seed")
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=N)
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (N,):
+        raise LengthMismatch(f"need {N} phases, got shape {phases.shape}")
+    return np.exp(1j * phases)
+
+
 def apply_diagonal_phases(qmap: Union[QuantizedMap, np.ndarray],
                           phases: Optional[Sequence[float]] = None,
                           seed: Optional[int] = None):
@@ -304,15 +317,7 @@ def apply_diagonal_phases(qmap: Union[QuantizedMap, np.ndarray],
     or a bare matrix (returned as a matrix).
     """
     matrix = qmap.matrix if isinstance(qmap, QuantizedMap) else np.asarray(qmap)
-    N = matrix.shape[0]
-    if phases is None:
-        if seed is None:
-            raise LengthMismatch("provide either explicit phases or a seed")
-        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=N)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (N,):
-        raise LengthMismatch(f"need {N} phases, got shape {phases.shape}")
-    rotated = np.exp(1j * phases)[:, None] * matrix
+    rotated = _phase_factors(matrix.shape[0], phases, seed)[:, None] * matrix
     if isinstance(qmap, QuantizedMap):
         return QuantizedMap(rotated, qmap.kind, qmap.digest, qmap.keep,
                             qmap.block_sizes, qmap.bloch)

@@ -1,10 +1,11 @@
 """Spectral analysis of quantized open maps.
 
 Everything here works on dense complex matrices: nonunitary spectra are
-computed with the standard QR eigensolver, counted inside shrinking
-disks, rescaled by the fractal Weyl exponent N^nu, fitted for that
-exponent across dimensions, and reduced to the trapped-region effective
-Hamiltonian through an exact Schur-complement determinant identity
+computed with the standard QR eigensolver on the exact core of the map
+(below), counted inside shrinking disks, rescaled by the fractal Weyl
+exponent N^nu, fitted for that exponent across dimensions, and reduced
+to the trapped-region effective Hamiltonian through an exact
+Schur-complement determinant identity
 
     det(I - 1/lam M) = det(E(lam)) * det(I - 1/lam (I-Pi) M),
     E(lam) = I - 1/lam A - 1/lam^2 B (I - 1/lam D)^{-1} C,
@@ -23,13 +24,28 @@ determinant come from that block (Sylvester's identity), and powers of
 M are iterated on N x |nz| blocks.  The columns are read off the matrix,
 so dense inputs take the same path.  The full N x N determinant
 det(I - M/lam) stays the independent side of the identity check.
+
+The eigensolver uses the same zeros.  Sweep 1 drops every index whose
+column of M is zero; sweep i drops every index whose column is zero on
+the rows that survive sweep i-1.  What no sweep drops is the exact core
+K.  Ordered as (sweep 1, ..., sweep p, K), M is block upper triangular,
+
+    M = [[Nil, X], [0, M_KK]],
+
+with Nil strictly block upper triangular, hence nilpotent.  So the
+spectrum is eig(M_KK) and N - |K| exact zeros, and QR runs on the
+|K| x |K| block alone.  A standard map deflates in one sweep (K = its
+nonzero columns); a Walsh map on k-digit words takes k sweeps and ends
+at the n^k words of kept digits.  An eigenvector of M_KK lifts to one
+of M by back substitution over the sweeps; a dropped index j gets e_j,
+an exact null vector when j falls in sweep 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,25 +105,91 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
+def _core(M: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """The exact core of M and the sweeps that deflate everything else.
+
+    Sweep i drops every index whose column is zero on the rows still
+    active after sweep i-1; the core is what no sweep drops.  Each sweep
+    scans the boolean mask of the active submatrix, which shrinks as
+    indices drop: O(N^2) for a standard map, and for a Walsh map, whose
+    active set shrinks by the factor n/D per sweep.
+    """
+    nonzero = M != 0
+    index = np.arange(M.shape[0])
+    sweeps = []
+    while True:
+        empty = ~nonzero.any(axis=0)
+        if not empty.any():
+            return index, sweeps
+        sweeps.append(index[empty])
+        index = index[~empty]
+        nonzero = nonzero[~empty][:, ~empty]
+
+
+def _lift(M: np.ndarray, core: np.ndarray, sweeps: Sequence[np.ndarray],
+          Y: np.ndarray, values: np.ndarray, V: np.ndarray) -> None:
+    """Write into V the unit eigenvectors of M that lift the eigenpairs
+    (values, Y) of M[core, core].
+
+    The eigenvector of M is [u; y] with (lam - Nil) u = X y, in the order
+    of the module docstring.  The rows of sweep i meet only the columns
+    still active after it, so u is found by back substitution from the
+    last sweep to the first: u_i = M[sweep_i, active_i] [u_{>i}; y] / lam.
+    In exact arithmetic this is v <- M v / lam iterated p times from y
+    padded with zeros, one sweep at a time.  A core eigenvalue that is
+    exactly 0 keeps y padded with zeros.
+    """
+    V[core] = Y
+    active = core
+    for drop in reversed(sweeps):
+        rows = M[np.ix_(drop, active)] @ V[active]
+        V[drop] = np.divide(rows, values, out=np.zeros_like(rows),
+                            where=values != 0)
+        active = np.concatenate([drop, active])
+    V /= np.linalg.norm(V, axis=0)
+
+
 def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
-    """Full nonhermitian eigendecomposition with deterministic ordering."""
+    """Full nonhermitian eigendecomposition with deterministic ordering.
+
+    QR runs on the exact core block M[K, K] alone (see the module
+    docstring); the spectrum is its eigenvalues padded with N - |K|
+    exact zeros.  With want_vectors, each core eigenvector is lifted to
+    a unit eigenvector of M, and each dropped index j gets e_j, in sweep
+    order; the N x N array is built once, in the sorted order.  The
+    backward error bound is taken on the full M: the zeros are exact,
+    and M[K, K] is a submatrix of M, so QR's backward error on it is
+    within the bound.
+    """
     M = _as_matrix(matrix)
     N = M.shape[0]
     if N > DENSE_GUARD:
         raise DimensionGuard(f"N={N} exceeds dense eigensolver guard {DENSE_GUARD}")
+    bound = 4.0 * N * np.finfo(float).eps * float(np.linalg.norm(M, "fro"))
+    # LAPACK refuses non-finite input; the dropped part must not let one by
+    if not math.isfinite(bound):
+        raise SolverFailure("eigensolver input has a non-finite entry or norm")
+    core, sweeps = _core(M)
     try:
         if want_vectors:
-            values, vectors = np.linalg.eig(M)
+            values, Y = np.linalg.eig(M[np.ix_(core, core)])
         else:
-            values, vectors = np.linalg.eigvals(M), None
+            values = np.linalg.eigvals(M[np.ix_(core, core)])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR rarely fails
         raise SolverFailure(f"eigensolver did not converge: {exc}") from exc
 
+    k = core.size
+    values = np.concatenate([values, np.zeros(N - k, dtype=values.dtype)])
     order = np.lexsort((values.imag, values.real, -np.abs(values)))
     values = values[order]
-    if vectors is not None:
-        vectors = vectors[:, order]
-    bound = 4.0 * N * np.finfo(float).eps * float(np.linalg.norm(M, "fro"))
+    vectors = None
+    if want_vectors:
+        # the padded zeros sort last and stably, so the core eigenvalues
+        # take the first k places and the dropped indices the rest
+        vectors = np.zeros((N, N), dtype=np.result_type(M, Y))
+        _lift(M, core, sweeps, Y[:, order[:k]], values[:k], vectors[:, :k])
+        if sweeps:
+            vectors[np.concatenate(sweeps), np.arange(k, N)] = 1.0
     return Spectrum(values, vectors, bound)
 
 

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 import oqmap.cli
+import oqmap.spectral
+from oqmap import apply_diagonal_phases, walsh_open
 from oqmap.cli import (
     exit_code_for,
     finite_float,
@@ -347,6 +349,36 @@ class TestWalsh:
         assert run(["walsh", "--branches", "3", "--keep", "0,2",
                     "--word-length", "8", "--outdir", tmp_path]) == 2
 
+    def test_seeded_run_holds_one_dense_matrix(self, tmp_path):
+        # the seeded map is rotated in place and the eigensolve copies only
+        # its 128-index core, so one N x N complex matrix sets the peak
+        N = 3 ** 7
+        tracemalloc.start()
+        try:
+            status = run(["walsh", "--branches", "3", "--keep", "0,2",
+                          "--word-length", "7", "--phases-seed", "5",
+                          "--outdir", tmp_path])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak <= 1.25 * 16 * N * N
+
+    def test_in_place_rotation_is_bitwise_apply_diagonal_phases(
+            self, tmp_path, monkeypatch):
+        solved = []
+
+        def capture(qmap, want_vectors=False):
+            solved.append(qmap.matrix.copy())
+            return oqmap.spectral.eigen_decompose(qmap, want_vectors)
+
+        monkeypatch.setattr(oqmap.cli, "eigen_decompose", capture)
+        assert run(["walsh", "--branches", "6", "--keep", "1,4",
+                    "--word-length", "4", "--phases-seed", "5",
+                    "--outdir", tmp_path]) == 0
+        want = apply_diagonal_phases(walsh_open(6, (1, 4), 4).open_map, seed=5)
+        assert solved[0].tobytes() == want.matrix.tobytes()
+
     def test_lapack_failure_exits_3(self, tmp_path, monkeypatch):
         def broken_det(a):
             raise np.linalg.LinAlgError("simulated LAPACK failure")
@@ -400,6 +432,27 @@ class TestHusimi:
         lines = (tmp_path / "husimi.csv").read_text().splitlines()
         assert lines[0] == "x,xi,value"
         assert len(lines) == 1 + 64 * 64
+
+    @pytest.mark.parametrize("argv", [
+        # the two husimi commands of the benchmark, at their deepest mode
+        ["husimi", *D5, "--N", "500", "--grid", "192", "--level", "4"],
+        ["husimi", *D3, "--N", "486", "--grid", "128", "--level", "4"],
+    ])
+    def test_mode_residual_at_benchmark_sizes(self, tmp_path, argv):
+        assert run([*argv, "--bloch", "0.3,0.7", "--mode-rank", "3",
+                    "--outdir", tmp_path]) == 0
+        assert load(tmp_path / "husimi.json")["mode_residual"] <= 1e-12
+
+    def test_mode_residual_catches_an_unlifted_mode(self, tmp_path, monkeypatch):
+        # mutation check: the core eigenvector padded with zeros, never
+        # carried onto the dropped indices through M[:, K]
+        def unlifted(M, core, sweeps, Y, values, V):
+            V[core] = Y
+
+        monkeypatch.setattr(oqmap.spectral, "_lift", unlifted)
+        assert run(["husimi", *D5, "--N", "500", "--grid", "32",
+                    "--outdir", tmp_path]) == 0
+        assert load(tmp_path / "husimi.json")["mode_residual"] > 1e-3
 
     def test_mode_rank_out_of_range(self, tmp_path):
         assert run(["husimi", *D3, "--N", "81", "--mode-rank", "81",

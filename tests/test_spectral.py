@@ -10,6 +10,7 @@ import pytest
 
 from oqmap import (
     QuantizationConfig,
+    apply_diagonal_phases,
     count_profile,
     effective_hamiltonian,
     eigen_decompose,
@@ -28,15 +29,17 @@ from oqmap.errors import (
     InsufficientSamples,
     ProbeInsideBulkSpectrum,
     SingularResolvent,
+    SolverFailure,
 )
 import oqmap.spectral
 from oqmap.spectral import (
     _blocks,
+    _core,
     _effective_pieces,
     _nonzero_columns,
 )
 
-from conftest import get_open_spectrum, get_quantization
+from conftest import get_open_spectrum, get_quantization, get_walsh
 
 
 def probe_ring(radius: float, count: int = 8):
@@ -74,6 +77,14 @@ class TestEigenDecompose:
     def test_dimension_guard(self):
         with pytest.raises(DimensionGuard):
             eigen_decompose(np.zeros((5001, 5001)))
+
+    def test_non_finite_entry_outside_the_core_refused(self):
+        # column 1 is zero but for a NaN on the row of the zero column 0,
+        # so the sweeps drop it; LAPACK would refuse the matrix, and so
+        # must the deflated eigensolve
+        M = np.array([[0.0, np.nan, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(SolverFailure):
+            eigen_decompose(M)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -493,3 +504,144 @@ class TestMatchSpectra:
         assert not pairs
         assert missed_ref == [1.0 + 0j]
         assert missed_cand == [1.1 + 0j]
+
+
+# ---------------------------------------------------------------------------
+# exact core: the full-matrix eigensolve is the oracle
+# ---------------------------------------------------------------------------
+
+BLOCHS = ((0.0, 0.0), (0.5, 0.5), (0.3, 0.7))
+WALSH_SPECS = [(3, (0, 2), k) for k in range(1, 8)] + [(4, (0, 1, 3), 5),
+                                                       (6, (1, 4), 4)]
+
+
+def core_case(case):
+    """(M, expected core size) of a standard or Walsh map."""
+    if case[0] == "walsh":
+        _, D, keep, k, seed = case
+        M = get_walsh(D, keep, k).open_map.matrix
+        if seed is not None:
+            M = apply_diagonal_phases(M, seed=seed)
+        return M, len(keep) ** k
+    _, tag, N, bloch = case
+    quantization = get_quantization(tag, N, bloch)
+    return quantization.open_map.matrix, int(quantization.projector.sum())
+
+
+CORE_CASES = (
+    [("standard", tag, N, bloch)
+     for tag, N in (("D3", 243), ("D5", 500)) for bloch in BLOCHS]
+    + [("standard", "asym", 256, (0.0, 0.0))]
+    + [("walsh", *spec, seed) for spec in WALSH_SPECS for seed in (None, 11)])
+
+
+def core_oracle_failures(M, core_size, vectors=True):
+    """Every way eigen_decompose(M) misses the full-matrix oracle.
+
+    The eigenvalues above 1e-3 must pair up both ways with those of
+    np.linalg.eigvals(M); exactly N - core_size of them must be exact
+    zeros; each vector above 1e-3 must have residual <= 1e-12; and each
+    zero mode must be some e_j, the zero columns of M first, so that
+    M e_j = 0 for the first sweep.
+    """
+    N = M.shape[0]
+    failures = []
+    spectrum = eigen_decompose(M, want_vectors=vectors)
+    got, want = spectrum.eigenvalues, np.linalg.eigvals(M)
+    for ref, cand in ((want, got), (got, want)):
+        _, unmatched, _ = match_spectra(ref[np.abs(ref) > 1e-3], cand, 1e-8)
+        if unmatched:
+            failures.append(f"{len(unmatched)} eigenvalues unmatched")
+    zeros = int(np.count_nonzero(got == 0))
+    if zeros != N - core_size:
+        failures.append(f"{zeros} exact zeros, want {N - core_size}")
+    if vectors:
+        V = spectrum.vectors
+        big = np.abs(got) > 1e-3
+        residual = np.abs(M @ V[:, big] - V[:, big] * got[big]).max()
+        if not residual <= 1e-12:
+            failures.append(f"vector residual {residual:.2e}")
+        null = V[:, N - zeros:]
+        j = np.argmax(np.abs(null), axis=0)
+        first = np.flatnonzero(np.all(M == 0, axis=0))
+        if not (np.all(np.count_nonzero(null, axis=0) == 1)
+                and np.all(null[j, np.arange(zeros)] == 1)
+                and np.array_equal(j[:first.size], first)):
+            failures.append("zero modes are not e_j, zero columns first")
+    return failures
+
+
+def one_sweep_core(M):
+    core, sweeps = _core(M)
+    first = sweeps[0]
+    return np.setdiff1d(np.arange(M.shape[0]), first), sweeps[:1]
+
+
+def greedy_core(M):
+    # also drops the first core index, whose column holds a nonzero entry
+    core, sweeps = _core(M)
+    return core[1:], [np.sort(np.concatenate([sweeps[0], core[:1]]))] + sweeps[1:]
+
+
+class TestExactCore:
+    @pytest.mark.parametrize("case", CORE_CASES, ids=str)
+    def test_matches_full_eigensolve(self, case):
+        M, core_size = core_case(case)
+        core, sweeps = _core(M)
+        assert core.size == core_size
+        # a standard map deflates in one sweep, a Walsh map in one per digit
+        assert len(sweeps) == (case[3] if case[0] == "walsh" else 1)
+        # the vectors at N = 2187 (76 MiB) add nothing the k <= 6 cases lack
+        assert core_oracle_failures(M, core_size, vectors=M.shape[0] < 2187) == []
+
+    def test_swept_corner_is_nilpotent(self):
+        M, _ = core_case(("walsh", 3, (0, 2), 4, 11))
+        core, sweeps = _core(M)
+        order = np.concatenate(sweeps + [core])
+        P = M[np.ix_(order, order)]
+        swept = P.shape[0] - core.size
+        assert not P[swept:, :swept].any()
+        assert not np.linalg.matrix_power(P[:swept, :swept], len(sweeps)).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_block_triangular(self, seed):
+        # random sweeps of random sizes, a dense random core, the whole
+        # thing hidden under a random permutation; p > 1 exercises the
+        # back substitution on random data
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 6, size=rng.integers(1, 4))
+        k = int(rng.integers(3, 9))
+        N = int(sizes.sum()) + k
+        P = (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))) / 3
+        edges = np.concatenate([[0], np.cumsum(sizes)])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            P[lo:, lo:hi] = 0.0  # sweep block: nonzero only on earlier rows
+        perm = rng.permutation(N)
+        M = np.empty_like(P)
+        M[np.ix_(perm, perm)] = P
+        assert _core(M)[0].size == k
+        assert len(_core(M)[1]) == sizes.size
+        assert core_oracle_failures(M, k) == []
+
+    def test_zero_core_eigenvalue_gets_a_finite_vector(self):
+        # the core [[1, 1], [1, 1]] has the eigenvalue 0, with X y = 0, so
+        # y padded with zeros is a null vector of M; no division by 0
+        M = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        spectrum = eigen_decompose(M, want_vectors=True)
+        V, values = spectrum.vectors, spectrum.eigenvalues
+        assert np.all(np.isfinite(V))
+        assert np.abs(M @ V[:, :2] - V[:, :2] * values[:2]).max() <= 1e-14
+        assert abs(values[0] - 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("mutant", [one_sweep_core, greedy_core])
+    @pytest.mark.parametrize("case", [("walsh", 3, (0, 2), 5, None),
+                                      ("walsh", 4, (0, 1, 3), 3, 11)], ids=str)
+    def test_mutant_core_is_caught(self, mutant, case, monkeypatch):
+        M, core_size = core_case(case)
+        monkeypatch.setattr(oqmap.spectral, "_core", mutant)
+        assert core_oracle_failures(M, core_size)
+
+    def test_mutant_drop_is_caught_on_a_standard_map(self, monkeypatch):
+        M, core_size = core_case(("standard", "D3", 243, (0.3, 0.7)))
+        monkeypatch.setattr(oqmap.spectral, "_core", greedy_core)
+        assert core_oracle_failures(M, core_size)
