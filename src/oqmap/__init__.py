@@ -15,6 +15,7 @@ __version__ = "0.1.0"
 from .classical import (
     BakerSpec,
     EscapeReport,
+    Intervals,
     PressureReport,
     TrappedCover,
     Word,
@@ -92,7 +93,8 @@ from .spectral import (
 __all__ = [
     "__version__",
     # classical
-    "BakerSpec", "EscapeReport", "PressureReport", "TrappedCover", "Word",
+    "BakerSpec", "EscapeReport", "Intervals", "PressureReport", "TrappedCover",
+    "Word",
     "admissible_words", "cantor_dimension", "escape_report", "escape_time",
     "pressure", "spec_digest", "step", "symmetric_spec", "thermo_report",
     "trapped_cover", "validate_spec", "word_interval",

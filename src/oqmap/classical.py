@@ -32,8 +32,10 @@ matrix is implemented alongside as an independent cross-check.
 
 Arithmetic is deliberately dual: set-level quantities (volumes, interval
 covers) are exact rationals, while pressure and root-finding use floats.
-The symbolic refinement runs on integer numerators over a common
-denominator and hands out ``fractions.Fraction`` values.
+The symbolic refinement runs on integer numerators over the common
+denominator Q^m, and the level-m intervals stay in that form
+(:class:`Intervals`) all the way to their readers; only the one volume
+per level is a ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .errors import (
 __all__ = [
     "BakerSpec",
     "Word",
+    "Intervals",
     "EscapeReport",
     "TrappedCover",
     "PressureReport",
@@ -295,8 +298,25 @@ def admissible_words(spec: BakerSpec, length: int,
     return rec([])
 
 
+@dataclass(frozen=True)
+class Intervals:
+    """Half-open intervals [lo / den, hi / den), ascending and disjoint.
+
+    The numerators are Python ints over one denominator, den = Q^m for a
+    level-m cover, so no endpoint is ever a float or a per-interval
+    Fraction; readers reduce or divide only what they need.
+    """
+
+    los: Tuple[int, ...]
+    his: Tuple[int, ...]
+    den: int
+
+    def __len__(self) -> int:
+        return len(self.los)
+
+
 def _refine(spec: BakerSpec, level: int) -> Tuple[Tuple[Fraction, ...],
-                                                 Tuple[Interval, ...]]:
+                                                 Intervals]:
     """The symbolic refinement loop: map [0, 1) ``level`` times to
     x_s + ell_s * I for every kept symbol s.
 
@@ -310,8 +330,9 @@ def _refine(spec: BakerSpec, level: int) -> Tuple[Tuple[Fraction, ...],
     partition denominators: symbol s is (a_s, b_s) = (Q x_s, Q ell_s), and
     one step maps (lo, hi) over Q^m to (a_s Q^m + b_s lo, a_s Q^m + b_s hi)
     over Q^(m+1).  The numerators pass 2^63 (Q = 47 at m = 12), so they
-    must never become fixed-width integers.  The final intervals become
-    Fractions once, at the end.
+    must never become fixed-width integers.  The intervals stay integer
+    numerators over Q^m: they are returned as :class:`Intervals`, not
+    reduced to lowest terms.
     """
     count = len(spec.keep) ** level
     if count > INTERVAL_GUARD:
@@ -329,9 +350,7 @@ def _refine(spec: BakerSpec, level: int) -> Tuple[Tuple[Fraction, ...],
         his = [c + b * hi for c, b in shifts for hi in his]
         den *= Q
         alive.append(Fraction(sum(map(sub, his, los)), den))
-    intervals = tuple((Fraction(lo, den), Fraction(hi, den))
-                      for lo, hi in zip(los, his))
-    return tuple(alive), intervals
+    return tuple(alive), Intervals(tuple(los), tuple(his), den)
 
 
 @dataclass(frozen=True)
@@ -340,13 +359,14 @@ class EscapeReport:
 
     ``escaped_volumes[m-1]`` is Vol(D_m), the measure of points with
     escape time < m; with the time-0 convention D_1 is exactly the hole.
-    Survivor intervals are the x-projections of the level-n cover.
+    Survivor intervals are the x-projections of the level-n cover, as
+    integer numerators over Q^n.
     """
 
     horizon: int
     escaped_volumes: Tuple[Fraction, ...]
     survivor_volume: Fraction
-    survivor_intervals: Tuple[Interval, ...]
+    survivor_intervals: Intervals
 
 
 def escape_report(spec: BakerSpec, horizon: int) -> EscapeReport:
@@ -379,20 +399,23 @@ class TrappedCover:
     the full xi range); "K_plus" gives horizontal strips; "K" gives the
     full product-rectangle cover with measure (sum ell)^(2m).  Rectangle
     lists for K are exposed lazily via :meth:`rectangles` since there are
-    |keep|^(2m) of them.
+    |keep|^(2m) of them.  Strips are :class:`Intervals` over Q^m.
     """
 
     tail: str
     level: int
-    x_intervals: Optional[Tuple[Interval, ...]]
-    xi_intervals: Optional[Tuple[Interval, ...]]
+    x_intervals: Optional[Intervals]
+    xi_intervals: Optional[Intervals]
     measure: Fraction
 
-    def rectangles(self) -> Iterator[Tuple[Interval, Interval]]:
+    def rectangles(self) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:
+        """((x_lo, x_hi), (xi_lo, xi_hi)) numerator pairs, all over the one
+        denominator ``x_intervals.den``."""
         if self.tail != "K":
             raise ValueError("rectangles are only defined for the full trapped set")
-        for ix in self.x_intervals:
-            for ixi in self.xi_intervals:
+        xs, xis = self.x_intervals, self.xi_intervals
+        for ix in zip(xs.los, xs.his):
+            for ixi in zip(xis.los, xis.his):
                 yield (ix, ixi)
 
 

@@ -39,7 +39,12 @@ from .classical import (
     validate_spec,
 )
 from .errors import DivisibilityError, NumericalError, ValidationError
-from .phasespace import CoherentFrame, _validate_grid, husimi_report
+from .phasespace import (
+    CoherentFrame,
+    _validate_grid,
+    husimi_report,
+    merged_strip_cover,
+)
 from .quantize import (
     DENSE_GUARD,
     QuantizationConfig,
@@ -63,6 +68,7 @@ from .serialize import (
 )
 from .spectral import (
     _check_m_max,
+    _check_radii,
     count_profile,
     effective_hamiltonian,
     eigen_decompose,
@@ -284,7 +290,7 @@ def cmd_spectrum(args, out: Path):
 def cmd_count(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
-    radii = parse_float_grid(args.r_grid)
+    radii = _check_radii(parse_float_grid(args.r_grid))
     nu = args.nu if args.nu is not None else cantor_dimension(spec)
     spectrum = eigen_decompose(
         quantize_open(spec, QuantizationConfig(args.N, bloch)).open_map)
@@ -306,6 +312,7 @@ def cmd_count(args, out: Path):
 
 
 def _admissible(spec: BakerSpec, dims: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(admissible, skipped) dimensions; a sweep with none is refused."""
     good, skipped = [], []
     for N in dims:
         try:
@@ -314,6 +321,10 @@ def _admissible(spec: BakerSpec, dims: Sequence[int]) -> Tuple[List[int], List[i
             skipped.append(N)
         else:
             good.append(N)
+    if not good:
+        raise ValidationError(
+            f"none of the {len(dims)} dimensions is admissible for this "
+            f"partition (N times every width must be an integer)")
     return good, skipped
 
 
@@ -344,10 +355,9 @@ def cmd_radius_scan(args, out: Path):
 def cmd_weyl_fit(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
-    dims, skipped = _admissible(spec, parse_dimensions(args.N))
     radius = args.radius
-    if not 0.0 < radius <= 1.1:
-        raise ValidationError(f"radius must lie in (0, 1.1], got {radius}")
+    _check_radii([radius])
+    dims, skipped = _admissible(spec, parse_dimensions(args.N))
     samples = _sweep(spec, dims, bloch,
                      lambda moduli: int(np.count_nonzero(moduli >= radius)))
     fit = weyl_fit(samples, radius)
@@ -414,8 +424,9 @@ def cmd_effective(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=False)
     bloch = parse_bloch(args.bloch)
     config = QuantizationConfig(args.N, bloch)
-    qmap = quantize_open(spec, config).open_map
+    # the cover is cheap and exact: refuse a bad level before quantizing
     quasi = trapped_quasiprojector(spec, config, args.level)
+    qmap = quantize_open(spec, config).open_map
     probes = [args.probe_radius * np.exp(2j * np.pi * j / args.probe_count)
               for j in range(args.probe_count)]
     report = effective_hamiltonian(qmap, quasi.diagonal,
@@ -460,6 +471,8 @@ def cmd_husimi(args, out: Path):
             f"mode rank {args.mode_rank} outside 0..{args.N - 1}")
     eps = (3.0 / math.sqrt(2.0 * math.pi * args.N) if args.thicken == "auto"
            else finite_float(args.thicken))
+    # the cover is cheap and exact: refuse a bad level or thickening first
+    cover = merged_strip_cover(spec, args.level, eps)
     qmap = quantize_open(spec, config).open_map
     spectrum = eigen_decompose(qmap, want_vectors=True)
     mode = spectrum.vectors[:, args.mode_rank]
@@ -471,7 +484,7 @@ def cmd_husimi(args, out: Path):
     del qmap, spectrum
 
     frame = CoherentFrame(args.N, bloch)
-    report = husimi_report(mode, frame, args.grid, spec, args.level, eps)
+    report = husimi_report(mode, frame, args.grid, cover)
     modulus = abs(eigenvalue)
     digest = spec_digest(spec)
     payload = {
@@ -485,7 +498,7 @@ def cmd_husimi(args, out: Path):
         "mode_residual": mode_residual,
         "grid": args.grid,
         "cover_level": args.level,
-        "thickening": report.thickening,
+        "thickening": eps,
         "mass_near_kplus": report.mass_near_kplus,
         "area_fraction": report.area_fraction,
         "enhancement_ratio": report.enhancement_ratio,

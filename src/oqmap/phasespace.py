@@ -191,8 +191,12 @@ def husimi_field(state: np.ndarray, frame: CoherentFrame,
     return HusimiField(x_centers, xi_centers, values)
 
 
+# disjoint (lo, hi) arcs of the circle and their total length
+StripCover = Tuple[Tuple[Tuple[float, float], ...], float]
+
+
 def merged_strip_cover(spec: BakerSpec, level: int,
-                       thickening: float) -> Tuple[Tuple[Tuple[float, float], ...], float]:
+                       thickening: float) -> StripCover:
     """Thickened level-m cover of the xi-Cantor set, merged on the circle.
 
     Each strip [lo, hi) grows by the thickening on both sides, wraps
@@ -203,10 +207,12 @@ def merged_strip_cover(spec: BakerSpec, level: int,
     if thickening < 0:
         raise ValueError("thickening must be >= 0")
     strips = trapped_cover(spec, level, "K_plus").xi_intervals
+    den = strips.den
     raw = []
-    for lo, hi in strips:
-        a = float(lo) - thickening
-        b = float(hi) + thickening
+    for lo, hi in zip(strips.los, strips.his):
+        # int / int is correctly rounded: float(Fraction(lo, den)) exactly
+        a = lo / den - thickening
+        b = hi / den + thickening
         if b - a >= 1.0:
             return ((0.0, 1.0),), 1.0
         a_mod = a % 1.0
@@ -236,8 +242,6 @@ class HusimiReport:
     """Husimi field plus its localization audit against the K+ cover."""
 
     field: HusimiField
-    cover_level: int
-    thickening: float
     mass_near_kplus: float
     area_fraction: float
     enhancement_ratio: float
@@ -245,17 +249,19 @@ class HusimiReport:
 
 def husimi_report(state: np.ndarray, frame: CoherentFrame,
                   grid: Union[int, Tuple[int, int]],
-                  spec: BakerSpec, cover_level: int,
-                  thickening: float) -> HusimiReport:
+                  cover: StripCover) -> HusimiReport:
     """Husimi field of a unit vector and its mass near the K+ strips.
 
-    mass_near_kplus is the fraction of total Husimi mass whose xi cell
-    centre falls in the thickened, merged level-m cover; area_fraction
-    is the Lebesgue measure of that region.  Their ratio is 1 in mean
-    for delocalized states and grows for states piling onto K+.
+    ``cover`` is the thickened, merged level-m cover of the xi-Cantor set
+    from :func:`merged_strip_cover`, built by the caller, so that a
+    command can refuse a bad level or thickening before it computes the
+    state.  mass_near_kplus is the fraction of total Husimi mass whose xi
+    cell centre falls in the cover; area_fraction is the Lebesgue measure
+    of that region.  Their ratio is 1 in mean for delocalized states and
+    grows for states piling onto K+.
     """
     field = husimi_field(state, frame, grid)
-    intervals, area = merged_strip_cover(spec, cover_level, thickening)
+    intervals, area = cover
 
     xi = field.xi_centers
     inside = np.zeros(xi.shape, dtype=bool)
@@ -268,5 +274,4 @@ def husimi_report(state: np.ndarray, frame: CoherentFrame,
     total = float(field.values.sum())
     mass = float(field.values[:, inside].sum()) / total
     ratio = mass / area if area > 0 else math.inf
-    return HusimiReport(field, cover_level, float(thickening),
-                        mass, float(area), ratio)
+    return HusimiReport(field, mass, float(area), ratio)

@@ -22,10 +22,11 @@ import struct
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .classical import Intervals
 from .phasespace import HusimiField
 
 __all__ = [
@@ -154,12 +155,14 @@ def write_matrix_csv(path: PathLike, matrix: np.ndarray) -> Path:
 # tabular reports
 # ---------------------------------------------------------------------------
 
-def write_intervals_csv(path: PathLike,
-                        intervals: Iterable[Tuple[Fraction, Fraction]]) -> Path:
+def write_intervals_csv(path: PathLike, intervals: Intervals) -> Path:
+    """Columns (lo_num, lo_den, hi_num, hi_den), each endpoint in lowest
+    terms: one gcd against the common denominator per endpoint."""
+    den = intervals.den
     lines = ["lo_num,lo_den,hi_num,hi_den"]
-    for lo, hi in intervals:
-        lines.append(f"{lo.numerator},{lo.denominator},"
-                     f"{hi.numerator},{hi.denominator}")
+    for lo, hi in zip(intervals.los, intervals.his):
+        g, h = math.gcd(lo, den), math.gcd(hi, den)
+        lines.append(f"{lo // g},{den // g},{hi // h},{den // h}")
     return write_lines(path, lines)
 
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -223,12 +224,9 @@ class CountReport:
     spectral_radius: float
 
 
-def count_profile(spectrum: Union[Spectrum, np.ndarray],
-                  r_grid: Sequence[float],
-                  nu: float) -> CountReport:
-    """Count eigenvalues of modulus >= r over an ascending grid in (0, 1.1]."""
-    eigenvalues = (spectrum.eigenvalues if isinstance(spectrum, Spectrum)
-                   else np.asarray(spectrum))
+def _check_radii(r_grid: Sequence[float]) -> np.ndarray:
+    """The counting radii as a float array: nonempty, 1-D, each in
+    (0, 1.1], strictly ascending.  Raises ValueError otherwise."""
     radii = np.asarray(r_grid, dtype=float)
     if radii.ndim != 1 or radii.size == 0:
         raise ValueError("radius grid must be a nonempty 1-D sequence")
@@ -236,6 +234,16 @@ def count_profile(spectrum: Union[Spectrum, np.ndarray],
         raise ValueError("radii must lie in (0, 1.1]")
     if radii.size > 1 and not np.all(np.diff(radii) > 0):
         raise ValueError("radius grid must be strictly ascending")
+    return radii
+
+
+def count_profile(spectrum: Union[Spectrum, np.ndarray],
+                  r_grid: Sequence[float],
+                  nu: float) -> CountReport:
+    """Count eigenvalues of modulus >= r over an ascending grid in (0, 1.1]."""
+    eigenvalues = (spectrum.eigenvalues if isinstance(spectrum, Spectrum)
+                   else np.asarray(spectrum))
+    radii = _check_radii(r_grid)
 
     moduli = np.sort(np.abs(eigenvalues))
     counts = moduli.size - np.searchsorted(moduli, radii, side="left")
@@ -310,9 +318,12 @@ def trapped_quasiprojector(spec: BakerSpec, config: QuantizationConfig,
     exact rational arithmetic; a strip narrower than the lattice spacing
     (no index at all) raises CoverTooFine, since the projector would
     silently stop resolving the cover.  Rank is exactly N (sum ell)^m
-    whenever every strip width is a lattice multiple.
+    whenever every strip width is a lattice multiple.  N above DENSE_GUARD
+    raises DimensionGuard before the diagonal is allocated.
     """
     N = config.dimension
+    if N > DENSE_GUARD:
+        raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
     _block_sizes(spec, N)  # raises DivisibilityError unless N*ell_i are integers
     if level == 0:
         return Quasiprojector(np.ones(N), 0, N)
@@ -320,13 +331,16 @@ def trapped_quasiprojector(spec: BakerSpec, config: QuantizationConfig,
         raise ValueError("cover level must be >= 0")
 
     diag = np.zeros(N)
-    for lo, hi in trapped_cover(spec, level, "K_minus").x_intervals:
-        j_lo = math.ceil(lo * N)
-        j_hi = math.ceil(hi * N)
+    strips = trapped_cover(spec, level, "K_minus").x_intervals
+    den = strips.den
+    for lo, hi in zip(strips.los, strips.his):
+        # ceil(lo N / den) by integer floor division
+        j_lo = -(-lo * N // den)
+        j_hi = -(-hi * N // den)
         if j_hi <= j_lo:
             raise CoverTooFine(
-                f"strip [{lo}, {hi}) holds no lattice point at N={N}; "
-                f"lower the level or raise N")
+                f"strip [{Fraction(lo, den)}, {Fraction(hi, den)}) holds no "
+                f"lattice point at N={N}; lower the level or raise N")
         diag[j_lo:j_hi] = 1.0
     return Quasiprojector(diag, level, int(diag.sum()))
 

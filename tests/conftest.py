@@ -105,6 +105,14 @@ def open_spectrum_cache():
     return get_open_spectrum
 
 
+def fraction_intervals(intervals) -> tuple:
+    """Oracle: integer-numerator intervals as exact Fraction pairs, the
+    form the refinement used to hand out."""
+    den = intervals.den
+    return tuple((Fraction(lo, den), Fraction(hi, den))
+                 for lo, hi in zip(intervals.los, intervals.his))
+
+
 def random_rational_spec(rng: np.random.Generator, max_branches: int = 6,
                          max_keep: int | None = None) -> BakerSpec:
     """Draw a random partition with rational cut points and a proper keep set."""

@@ -44,7 +44,7 @@ from oqmap.errors import (
     OutOfDomain,
 )
 
-from conftest import random_rational_spec
+from conftest import fraction_intervals, random_rational_spec
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -218,22 +218,26 @@ class TestTrappedCover:
         cover = trapped_cover(spec3, 1, "K")
         rects = list(cover.rectangles())
         assert len(rects) == 4
+        den = cover.x_intervals.den
+        assert cover.xi_intervals.den == den
         for (xlo, xhi), (ylo, yhi) in rects:
-            assert xhi - xlo == Fraction(1, 3)
-            assert yhi - ylo == Fraction(1, 3)
+            assert Fraction(xhi - xlo, den) == Fraction(1, 3)
+            assert Fraction(yhi - ylo, den) == Fraction(1, 3)
         assert cover.measure == Fraction(4, 9)
 
     def test_level2_backward_strips(self, spec3):
         cover = trapped_cover(spec3, 2, "K_minus")
         assert cover.xi_intervals is None
         assert len(cover.x_intervals) == 4
-        assert all(hi - lo == Fraction(1, 9) for lo, hi in cover.x_intervals)
+        assert all(hi - lo == Fraction(1, 9)
+                   for lo, hi in fraction_intervals(cover.x_intervals))
         assert cover.measure == Fraction(4, 9)
 
     def test_single_branch_refinement(self):
         spec = validate_spec((0, Fraction(1, 2), 1), (0,))
         cover = trapped_cover(spec, 3, "K_minus")
-        assert cover.x_intervals == ((Fraction(0), Fraction(1, 8)),)
+        assert fraction_intervals(cover.x_intervals) == (
+            (Fraction(0), Fraction(1, 8)),)
         assert cover.measure == Fraction(1, 8)
 
     @pytest.mark.parametrize("partition,keep,level", [
@@ -244,13 +248,14 @@ class TestTrappedCover:
         # refinement keeps the order without sorting, also for unequal widths
         _, intervals = _refine(validate_spec(partition, keep), level)
         assert len(intervals) == len(keep) ** level
-        assert all(lo < hi for lo, hi in intervals)
-        assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
+        # one common denominator, so numerators order as the endpoints do
+        assert all(lo < hi for lo, hi in zip(intervals.los, intervals.his))
+        assert all(a <= b for a, b in zip(intervals.his, intervals.los[1:]))
 
     def test_forward_strips_live_in_xi(self, spec3):
         cover = trapped_cover(spec3, 1, "K_plus")
         assert cover.x_intervals is None
-        assert cover.xi_intervals == (
+        assert fraction_intervals(cover.xi_intervals) == (
             (Fraction(0), Fraction(1, 3)), (Fraction(2, 3), Fraction(1)))
 
     def test_rectangles_only_for_full_tail(self, spec3):
@@ -277,7 +282,7 @@ class TestEscapeReport:
         report = escape_report(spec3, 1)
         assert report.escaped_volumes == (Fraction(1, 3),)
         assert report.survivor_volume == Fraction(2, 3)
-        assert report.survivor_intervals == (
+        assert fraction_intervals(report.survivor_intervals) == (
             (Fraction(0), Fraction(1, 3)), (Fraction(2, 3), Fraction(1)))
 
     def test_four_step_volume(self, spec3):
@@ -310,6 +315,18 @@ class TestEscapeReport:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_survivors_stay_integer_numerators_in_memory(self, spec3):
+        # 2^15 survivor strips as ints over 3^15; one Fraction per endpoint
+        # (two more ints and an object each) would take the peak past 11 MiB
+        tracemalloc.start()
+        try:
+            report = escape_report(spec3, 15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.survivor_intervals) == 2 ** 15
+        assert peak < 5 * 2 ** 20
 
     def test_non_monotone_volumes_raise(self, spec3, monkeypatch):
         # a refinement whose surviving length grows must not pass silently
@@ -368,12 +385,17 @@ def fraction_levels(spec, horizon):
 
 
 def assert_matches_fractions(spec, horizon):
+    Q = math.lcm(*(p.denominator for p in spec.partition))
     for m, (escaped, intervals) in enumerate(fraction_levels(spec, horizon), 1):
         report = escape_report(spec, m)
         assert report.escaped_volumes == escaped
         assert report.survivor_volume == 1 - escaped[-1]
-        assert report.survivor_intervals == intervals
+        assert fraction_intervals(report.survivor_intervals) == intervals
         assert all(type(x) is Fraction for iv in intervals for x in iv)
+        # the report itself carries integer numerators over Q^m
+        survivors = report.survivor_intervals
+        assert survivors.den == Q ** m
+        assert all(type(x) is int for x in survivors.los + survivors.his)
 
 
 class TestIntegerRefinement:
@@ -396,8 +418,10 @@ class TestIntegerRefinement:
 
     def test_denominators_pass_int64(self):
         spec = validate_spec(("0", "1/47", "30/47", "1"), (0, 2))
-        lo, hi = escape_report(spec, 12).survivor_intervals[0]
+        survivors = escape_report(spec, 12).survivor_intervals
+        lo, hi = fraction_intervals(survivors)[0]
         assert (hi - lo).denominator == 47 ** 12 > 2 ** 63
+        assert survivors.den == 47 ** 12
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))

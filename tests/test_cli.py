@@ -543,6 +543,27 @@ HUGE = "1000000000000000"
     ["thermo", *D3, f"--s-grid=0:1:{HUGE}"],
     ["count", *D3, "--N", "27", "--r-grid", f"0.1:1:{HUGE}"],
     [*HUSIMI, "--mode-rank", "27"],
+    # the radius grid rule of count_profile, checked before quantizing
+    pytest.param(["count", *D3, "--N", "972", "--r-grid", "0:1:10"],
+                 id="count r=0"),
+    pytest.param(["count", *D3, "--N", "972", "--r-grid", "0.9:0.1:10"],
+                 id="count descending"),
+    # the exact strip covers are built before the map is quantized
+    pytest.param(["husimi", *D5, "--N", "500", "--level", "30"],
+                 id="husimi interval guard"),
+    pytest.param(["husimi", *D5, "--N", "500", "--thicken", "-1"],
+                 id="husimi negative thickening"),
+    pytest.param(["effective", *D5, "--N", "500", "--level", "5",
+                  "--radius", "0.5"], id="effective cover too fine"),
+    pytest.param(["effective", *D5, "--N", HUGE, "--level", "0",
+                  "--radius", "0.5"], id="effective huge N level 0"),
+    pytest.param(["effective", *D5, "--N", HUGE, "--level", "1",
+                  "--radius", "0.5"], id="effective huge N level 1"),
+    # a sweep with no admissible dimension is refused, not run empty
+    pytest.param(["radius-scan", *D3, "--N", "7:8:1"],
+                 id="radius-scan none admissible"),
+    pytest.param(["weyl-fit", *D3, "--N", "7:8:1", "--radius", "0.5"],
+                 id="weyl-fit none admissible"),
 ], ids=lambda argv: argv[0])
 def test_oversized_input_exits_2_before_allocating(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)

@@ -24,13 +24,14 @@ from oqmap import (
     merged_strip_cover,
     quantize_open,
     symmetric_spec,
+    trapped_cover,
     validate_spec,
 )
 from oqmap.errors import DimensionGuard, UnnormalizedInput
 from oqmap.phasespace import _validate_grid
 from oqmap.quantize import DENSE_GUARD
 
-from conftest import get_open_spectrum, get_quantization
+from conftest import fraction_intervals, get_open_spectrum, get_quantization
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,57 @@ class TestHusimiFold:
 # strip covers
 # ---------------------------------------------------------------------------
 
+def fraction_strip_cover(spec, level, thickening):
+    """Oracle: the merged cover from Fraction endpoints through float()."""
+    raw = []
+    for lo, hi in fraction_intervals(
+            trapped_cover(spec, level, "K_plus").xi_intervals):
+        a = float(lo) - thickening
+        b = float(hi) + thickening
+        if b - a >= 1.0:
+            return ((0.0, 1.0),), 1.0
+        a_mod = a % 1.0
+        b_shift = a_mod + (b - a)
+        if b_shift <= 1.0:
+            raw.append((a_mod, b_shift))
+        else:
+            raw.append((a_mod, 1.0))
+            raw.append((0.0, b_shift - 1.0))
+    raw.sort()
+    merged = [list(raw[0])]
+    for a, b in raw[1:]:
+        if a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    if len(merged) > 1 and merged[-1][1] >= 1.0 and merged[0][0] <= 0.0:
+        merged[0][0] = merged[-1][0] - 1.0
+        merged.pop()
+    total = sum(b - a for a, b in merged)
+    return tuple((float(a), float(b)) for a, b in merged), float(total)
+
+
+def float_bits(cover):
+    intervals, total = cover
+    return [x.hex() for iv in intervals for x in iv] + [total.hex()]
+
+
 class TestMergedStripCover:
+    @pytest.mark.parametrize("partition,keep,level,thickening", [
+        ("0,1/5,2/5,3/5,4/5,1", (1, 3), 4, 0.0),
+        ("0,1/5,2/5,3/5,4/5,1", (1, 3), 4, 3 / math.sqrt(2 * math.pi * 500)),
+        ("0,1/3,2/3,1", (0, 2), 1, 0.05),
+        ("0,1/3,2/3,1", (0, 2), 8, 1e-3),
+        ("0,1/2,3/4,1", (0, 2), 6, 1e-4),  # reducible endpoints over 4^m
+        ("0,1/4,1/2,3/4,1", (0, 1, 3), 5, 0.0),  # adjacent strips merge
+        ("0,1/47,30/47,1", (0, 2), 12, 1e-9),  # numerators past 2^63
+    ])
+    def test_floats_match_fraction_path(self, partition, keep, level,
+                                        thickening):
+        spec = validate_spec(partition.split(","), keep)
+        assert (float_bits(merged_strip_cover(spec, level, thickening))
+                == float_bits(fraction_strip_cover(spec, level, thickening)))
+
     def test_bare_cover_measures_survival_power(self, spec5):
         intervals, total = merged_strip_cover(spec5, 4, 0.0)
         assert len(intervals) == 16
@@ -329,7 +380,8 @@ class TestHusimiReport:
         eps = 3 / math.sqrt(2 * math.pi * N)
         frame = CoherentFrame(N, (0.5, 0.5))
         state = coherent_state(frame, 0.5, 156 / 625 + 1 / 1250)
-        report = husimi_report(state, frame, 64, spec5, 4, eps)
+        report = husimi_report(state, frame, 64,
+                               merged_strip_cover(spec5, 4, eps))
         assert report.mass_near_kplus >= 0.9
         assert report.enhancement_ratio >= 2.0
         assert 0.0 < report.area_fraction < 0.5
@@ -339,7 +391,8 @@ class TestHusimiReport:
         rng = np.random.default_rng(5)
         u = rng.normal(size=64) + 1j * rng.normal(size=64)
         u /= np.linalg.norm(u)
-        report = husimi_report(u, frame, 32, spec3, 2, 0.02)
+        report = husimi_report(u, frame, 32,
+                               merged_strip_cover(spec3, 2, 0.02))
         assert 0.0 <= report.mass_near_kplus <= 1.0
         assert report.enhancement_ratio == pytest.approx(
             report.mass_near_kplus / report.area_fraction, rel=1e-12)
@@ -347,7 +400,8 @@ class TestHusimiReport:
     def test_full_cover_ratio_is_one(self, spec3):
         frame = CoherentFrame(64)
         state = coherent_state(frame, 0.5, 0.5)
-        report = husimi_report(state, frame, 32, spec3, 1, 0.4)
+        report = husimi_report(state, frame, 32,
+                               merged_strip_cover(spec3, 1, 0.4))
         assert report.area_fraction == 1.0
         assert report.mass_near_kplus == pytest.approx(1.0, abs=1e-12)
         assert report.enhancement_ratio == pytest.approx(1.0, abs=1e-12)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import oqmap.serialize
-from oqmap import HusimiField
+from oqmap import HusimiField, Intervals, escape_report, validate_spec
+from oqmap.cli import main
 from oqmap.serialize import (
     MAGIC,
     fmt_float,
@@ -28,10 +29,13 @@ from oqmap.serialize import (
     write_husimi_pgm,
     write_intervals_csv,
     write_json,
+    write_lines,
     write_matrix,
     write_matrix_csv,
     write_spectrum_csv,
 )
+
+from conftest import fraction_intervals
 
 
 class TestScalars:
@@ -151,9 +155,9 @@ class TestCsvSchemas:
         assert lines[2] == "0,1,0,0"
 
     def test_intervals_csv(self, tmp_path):
-        path = write_intervals_csv(
-            tmp_path / "iv.csv",
-            [(Fraction(0), Fraction(1, 3)), (Fraction(2, 3), Fraction(1))])
+        # [0, 1/3) and [2/3, 1) as numerators over 3
+        path = write_intervals_csv(tmp_path / "iv.csv",
+                                   Intervals((0, 2), (1, 3), 3))
         assert path.read_text() == (
             "lo_num,lo_den,hi_num,hi_den\n0,1,1,3\n2,3,1,1\n")
 
@@ -197,6 +201,38 @@ class TestCsvSchemas:
         want = ("\n".join(lines) + "\n").encode()
         path = write_husimi_csv(tmp_path / "h.csv", field)
         assert path.read_bytes() == want
+
+
+def fraction_intervals_csv(path, intervals):
+    """Oracle: the interval CSV from one Fraction per endpoint."""
+    lines = ["lo_num,lo_den,hi_num,hi_den"]
+    for lo, hi in fraction_intervals(intervals):
+        lines.append(f"{lo.numerator},{lo.denominator},"
+                     f"{hi.numerator},{hi.denominator}")
+    return write_lines(path, lines)
+
+
+class TestIntervalsCsvOracle:
+    @pytest.mark.parametrize("partition,keep,horizon", [
+        ("0,1/3,2/3,1", "0,2", 12),
+        ("0,1/2,3/4,1", "0,2", 12),  # reducible endpoints over 4^m
+        ("0,1/4,1/2,3/4,1", "0,1,3", 8),
+        ("0,1/47,30/47,1", "0,2", 12),  # numerators past 2^63
+    ])
+    def test_escape_csv_matches_fraction_writer(self, tmp_path, partition,
+                                                keep, horizon):
+        # also the mutation check: a writer that skips the gcd writes
+        # 0,3^12 for lo = 0 and unreduced numerators over 4^m
+        assert main(["escape", "--partition", partition, "--keep", keep,
+                     "--horizon", str(horizon),
+                     "--outdir", str(tmp_path / "out")]) == 0
+        spec = validate_spec(partition.split(","),
+                             [int(k) for k in keep.split(",")])
+        want = fraction_intervals_csv(
+            tmp_path / "oracle.csv",
+            escape_report(spec, horizon).survivor_intervals)
+        assert ((tmp_path / "out" / "escape_intervals.csv").read_bytes()
+                == want.read_bytes())
 
 
 class TestPgm:

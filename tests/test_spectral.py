@@ -19,7 +19,9 @@ from oqmap import (
     residual_decay,
     spectral_radius,
     symmetric_spec,
+    trapped_cover,
     trapped_quasiprojector,
+    validate_spec,
     weyl_fit,
 )
 from oqmap.errors import (
@@ -39,7 +41,12 @@ from oqmap.spectral import (
     _nonzero_columns,
 )
 
-from conftest import get_open_spectrum, get_quantization, get_walsh
+from conftest import (
+    fraction_intervals,
+    get_open_spectrum,
+    get_quantization,
+    get_walsh,
+)
 
 
 def probe_ring(radius: float, count: int = 8):
@@ -196,6 +203,25 @@ class TestQuasiprojector:
         quasi5b = trapped_quasiprojector(spec5, QuantizationConfig(625), 4)
         assert quasi5b.rank == 16  # 625 * (2/5)^4
 
+    @pytest.mark.parametrize("partition,keep,N,level", [
+        ("0,1/3,2/3,1", (0, 2), 30, 2),  # strip edges between lattice points
+        ("0,1/3,2/3,1", (0, 2), 243, 5),
+        ("0,1/5,2/5,3/5,4/5,1", (1, 3), 500, 3),
+        ("0,1/5,2/5,3/5,4/5,1", (1, 3), 625, 4),
+        ("0,1/2,3/4,1", (0, 2), 100, 3),  # reducible endpoints over 4^m
+        ("0,1/47,30/47,1", (0, 2), 4700, 2),
+    ])
+    def test_diagonal_matches_fraction_ceilings(self, partition, keep, N,
+                                                level):
+        # oracle: j from ceil(x N) on the Fraction endpoints
+        spec = validate_spec(partition.split(","), keep)
+        strips = trapped_cover(spec, level, "K_minus").x_intervals
+        want = np.zeros(N)
+        for lo, hi in fraction_intervals(strips):
+            want[math.ceil(lo * N):math.ceil(hi * N)] = 1.0
+        got = trapped_quasiprojector(spec, QuantizationConfig(N), level)
+        assert got.diagonal.tobytes() == want.tobytes()
+
     def test_cover_finer_than_lattice(self, spec3):
         with pytest.raises(CoverTooFine):
             trapped_quasiprojector(spec3, QuantizationConfig(27), 4)
@@ -207,6 +233,11 @@ class TestQuasiprojector:
     def test_negative_level(self, spec3):
         with pytest.raises(ValueError):
             trapped_quasiprojector(spec3, QuantizationConfig(27), -1)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_dimension_guard_before_allocating(self, spec3, level):
+        with pytest.raises(DimensionGuard):
+            trapped_quasiprojector(spec3, QuantizationConfig(3 ** 30), level)
 
 
 # ---------------------------------------------------------------------------
