@@ -18,11 +18,8 @@ from .classical import (
     Intervals,
     PressureReport,
     TrappedCover,
-    Word,
-    admissible_words,
     cantor_dimension,
     escape_report,
-    escape_time,
     pressure,
     spec_digest,
     step,
@@ -30,10 +27,8 @@ from .classical import (
     thermo_report,
     trapped_cover,
     validate_spec,
-    word_interval,
 )
 from .errors import (
-    AsymmetricSpec,
     CoverTooFine,
     DimensionGuard,
     DivisibilityError,
@@ -46,7 +41,6 @@ from .errors import (
     NumericalError,
     OQMapError,
     OutOfDomain,
-    ParityNotExact,
     PowerIterationDivergence,
     ProbeInsideBulkSpectrum,
     SingularResolvent,
@@ -94,10 +88,8 @@ __all__ = [
     "__version__",
     # classical
     "BakerSpec", "EscapeReport", "Intervals", "PressureReport", "TrappedCover",
-    "Word",
-    "admissible_words", "cantor_dimension", "escape_report", "escape_time",
-    "pressure", "spec_digest", "step", "symmetric_spec", "thermo_report",
-    "trapped_cover", "validate_spec", "word_interval",
+    "cantor_dimension", "escape_report", "pressure", "spec_digest", "step",
+    "symmetric_spec", "thermo_report", "trapped_cover", "validate_spec",
     # quantize
     "OpenQuantization", "QuantizationConfig", "QuantizedMap", "WalshModel",
     "apply_diagonal_phases", "quantize_open", "walsh_open",
@@ -112,8 +104,8 @@ __all__ = [
     # errors
     "OQMapError", "ValidationError", "NumericalError", "NonMonotonePartition",
     "EmptyOrFullKeepSet", "EndpointMismatch", "OutOfDomain", "HorizonTooLarge",
-    "DivisibilityError", "DimensionGuard", "AsymmetricSpec", "LengthMismatch",
+    "DivisibilityError", "DimensionGuard", "LengthMismatch",
     "InsufficientSamples", "CoverTooFine", "ProbeInsideBulkSpectrum",
-    "UnnormalizedInput", "PowerIterationDivergence", "ParityNotExact",
-    "SolverFailure", "SingularResolvent",
+    "UnnormalizedInput", "PowerIterationDivergence", "SolverFailure",
+    "SingularResolvent",
 ]

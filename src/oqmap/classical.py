@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log
+from math import inf, lcm, log
 from operator import sub
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
@@ -57,11 +57,11 @@ from .errors import (
     NumericalError,
     OutOfDomain,
     PowerIterationDivergence,
+    ValidationError,
 )
 
 __all__ = [
     "BakerSpec",
-    "Word",
     "Intervals",
     "EscapeReport",
     "TrappedCover",
@@ -70,10 +70,7 @@ __all__ = [
     "symmetric_spec",
     "spec_digest",
     "step",
-    "escape_time",
     "escape_report",
-    "admissible_words",
-    "word_interval",
     "trapped_cover",
     "pressure",
     "cantor_dimension",
@@ -81,7 +78,6 @@ __all__ = [
 ]
 
 Rational = Union[Fraction, int, str]
-Interval = Tuple[Fraction, Fraction]
 
 # Hard cap on how many cover intervals any operation may enumerate.
 INTERVAL_GUARD = 10**7
@@ -143,15 +139,6 @@ class BakerSpec:
         """True iff all rectangles have equal width 1/D."""
         D = self.branch_count
         return all(l == Fraction(1, D) for l in self.lengths)
-
-    def reflection_symmetric(self) -> bool:
-        """True iff both partition widths and keep set are invariant
-        under the relabeling i -> D-1-i (needed for parity splitting)."""
-        D = self.branch_count
-        ls = self.lengths
-        widths_ok = all(ls[i] == ls[D - 1 - i] for i in range(D))
-        keep_ok = sorted(D - 1 - i for i in self.keep) == list(self.keep)
-        return widths_ok and keep_ok
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -225,78 +212,9 @@ def step(spec: BakerSpec, point, direction: str = "forward"):
     raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
 
-def escape_time(spec: BakerSpec, point, horizon: int) -> Optional[int]:
-    """Number of completed steps before the forward orbit enters the hole.
-
-    A point already sitting in a removed rectangle has escape time 0 (it
-    escapes before completing any step).  Returns None if the orbit is
-    still alive after ``horizon`` steps.
-    """
-    current = point
-    for t in range(horizon):
-        x = current[0]
-        if _rectangle_of(spec, x) not in spec.keep:
-            return t
-        current = step(spec, current, "forward")
-    return None
-
-
 # ---------------------------------------------------------------------------
-# symbolic dynamics: words, covers, escape sets
+# symbolic dynamics: covers, escape sets
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Word:
-    """An admissible symbol sequence over the kept alphabet.
-
-    ``direction`` records which itinerary the word describes: "forward"
-    for x (future symbols), "backward" for xi (past symbols).  The
-    distinction is bookkeeping only; both itineraries generate the same
-    nested-interval geometry because the inverse baker acts on xi exactly
-    as the forward baker acts on x.
-    """
-
-    symbols: Tuple[int, ...]
-    direction: str = "forward"
-
-    def __post_init__(self):
-        if self.direction not in ("forward", "backward"):
-            raise ValueError(f"bad direction {self.direction!r}")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-def word_interval(spec: BakerSpec, word: Word) -> Interval:
-    """The half-open interval of coordinates sharing this itinerary.
-
-    Built by nesting: I_(s w) = x_s + ell_s * I_w.  Exact rationals.
-    """
-    for s in word.symbols:
-        if s not in spec.keep:
-            raise ValueError(f"symbol {s} not in keep set {spec.keep}")
-    lo, width = Fraction(0), Fraction(1)
-    for s in word.symbols:
-        lo = lo + width * spec.partition[s]
-        width = width * spec.lengths[s]
-    return (lo, lo + width)
-
-
-def admissible_words(spec: BakerSpec, length: int,
-                     direction: str = "forward") -> Iterator[Word]:
-    """All |keep|^length admissible words, lexicographic in kept symbols."""
-    if length < 0:
-        raise ValueError("word length must be >= 0")
-    def rec(prefix):
-        if len(prefix) == length:
-            yield Word(tuple(prefix), direction)
-            return
-        for s in spec.keep:
-            prefix.append(s)
-            yield from rec(prefix)
-            prefix.pop()
-    return rec([])
-
 
 @dataclass(frozen=True)
 class Intervals:
@@ -456,12 +374,31 @@ def pressure(spec: BakerSpec, s: float, method: str = "closed_form") -> float:
     shift the two must agree; the markov route exists as an independent
     cross-check and to accommodate future subshift specs.
     """
-    weights = [float(l) ** s for l in spec.kept_lengths]
+    lengths = [float(l) for l in spec.kept_lengths]
     if method == "closed_form":
-        return log(sum(weights))
+        return _closed_form(lengths, s)
     if method == "markov":
-        return log(_perron_frobenius_full_shift(weights))
+        return log(_perron_frobenius_full_shift([l ** s for l in lengths]))
     raise ValueError(f"method must be 'closed_form' or 'markov', got {method!r}")
+
+
+def _closed_form(lengths: Sequence[float], s: float) -> float:
+    """log sum ell^s over the float kept lengths.
+
+    Raises ValidationError where the sum leaves the float range: a term
+    that overflows, or a sum that underflows to 0 (or a width that does),
+    has no finite logarithm.
+    """
+    try:
+        total = sum([l ** s for l in lengths])
+    except (OverflowError, ZeroDivisionError):
+        total = inf
+    if not 0.0 < total < inf:
+        widths = ", ".join(f"{l:.6g}" for l in lengths)
+        raise ValidationError(
+            f"pressure at s={s!r} leaves the float range: the sum of the kept "
+            f"widths ({widths}) to the power s is {total!r}")
+    return log(total)
 
 
 def _perron_frobenius_full_shift(weights: Sequence[float],
@@ -544,9 +481,8 @@ def thermo_report(spec: BakerSpec,
     if s_grid is None:
         s_grid = np.linspace(-1.0, 3.0, 50)
     s_grid = tuple(float(s) for s in s_grid)
-    # the closed form of pressure(), from one list of float kept lengths
     lengths = [float(l) for l in spec.kept_lengths]
-    values = tuple(log(sum([l ** s for l in lengths])) for s in s_grid)
+    values = tuple(_closed_form(lengths, s) for s in s_grid)
 
     nu = cantor_dimension(spec)
     surviving = float(spec.survival_fraction)

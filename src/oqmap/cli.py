@@ -68,6 +68,7 @@ from .serialize import (
 )
 from .spectral import (
     _check_m_max,
+    _check_nu,
     _check_radii,
     count_profile,
     effective_hamiltonian,
@@ -291,7 +292,7 @@ def cmd_count(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
     radii = _check_radii(parse_float_grid(args.r_grid))
-    nu = args.nu if args.nu is not None else cantor_dimension(spec)
+    nu = _check_nu(args.nu if args.nu is not None else cantor_dimension(spec))
     spectrum = eigen_decompose(
         quantize_open(spec, QuantizationConfig(args.N, bloch)).open_map)
     report = count_profile(spectrum, radii, nu)

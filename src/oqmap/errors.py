@@ -65,25 +65,6 @@ class DimensionGuard(ValidationError):
     """Requested matrix dimension exceeds the dense-solver guard."""
 
 
-class AsymmetricSpec(ValidationError):
-    """Parity splitting needs a partition and keep set symmetric under
-    the reflection i -> D-1-i."""
-
-
-class ParityNotExact(NumericalError):
-    """The reflection operator does not commute with the map to tolerance.
-
-    Carries the measured commutator norm; signals that the chosen Bloch
-    phases do not support exact parity (use (1/2, 1/2) for that).
-    """
-
-    def __init__(self, commutator_norm: float):
-        self.commutator_norm = float(commutator_norm)
-        super().__init__(
-            f"reflection commutator norm {self.commutator_norm:.3e} exceeds 1e-8"
-        )
-
-
 class LengthMismatch(ValidationError):
     """A phase list (or similar vector) has the wrong length."""
 

@@ -249,13 +249,16 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     being the kron of Omega_D's columns for b's digits.  The work is
     O(k D N^2) and the memory one N x N matrix plus O(N D^(k-t)).
     """
-    spec = symmetric_spec(D, keep)  # validates D/keep and gives the digest
-    keep_t = spec.keep
     if k < 1:
         raise ValueError(f"word length k must be >= 1, got {k}")
+    # D^k >= 2^k passes the guard once k reaches its bit length, so the
+    # power is never taken past that: bounded work for any D and k
+    if D >= 2 and D ** min(k, DENSE_GUARD.bit_length()) > DENSE_GUARD:
+        raise DimensionGuard(
+            f"D^k exceeds the dense guard {DENSE_GUARD} at D={D}, k={k}")
+    spec = symmetric_spec(D, keep)  # validates D/keep and gives the digest
+    keep_t = spec.keep
     N = D ** k
-    if N > DENSE_GUARD:
-        raise DimensionGuard(f"D^k = {N} exceeds dense guard {DENSE_GUARD}")
 
     omega, omega_tilde = _walsh_omega(D, keep_t)
 

@@ -16,14 +16,15 @@ bulk spectrum (the eigenvalues of D) the factor (I - 1/lam D) is
 invertible, so every resonance with |lam| > r_bulk is exactly a zero of
 det E on the rank(Pi)-dimensional trapped subspace.
 
-An open map M = U Pi vanishes outside its kept columns, and so do D and
-every power of M.  The reduction and the residual norms run on those
-columns only: the bulk resolvent is applied through one solve with the
-J x J block of D on its nonzero columns J, the bulk radius and bulk
-determinant come from that block (Sylvester's identity), and powers of
-M are iterated on N x |nz| blocks.  The columns are read off the matrix,
-so dense inputs take the same path.  The full N x N determinant
-det(I - M/lam) stays the independent side of the identity check.
+An open map M = U Pi vanishes outside its kept columns, and the
+reduction and the residual norms run on those columns only.  The bulk is
+cut once, to the bulk indices J whose column of M is nonzero on any row:
+off J the columns of B and D vanish, so B (I - D/lam)^{-1} C =
+B[:, J] K^{-1} C[J, :] with K = I - D[J, J]/lam, and (Sylvester's
+identity) the bulk radius and det(I - D/lam) are those of D[J, J].
+Powers of M are iterated on N x |nz| blocks.  The columns are read off
+the matrix, so dense inputs take the same path.  The full N x N
+determinant det(I - M/lam) stays the independent side of the identity.
 
 The eigensolver uses the same zeros.  Sweep 1 drops every index whose
 column of M is zero; sweep i drops every index whose column is zero on
@@ -237,20 +238,31 @@ def _check_radii(r_grid: Sequence[float]) -> np.ndarray:
     return radii
 
 
+def _check_nu(nu: float) -> float:
+    """The rescaling exponent as a float in [0, 1], the range of the Weyl
+    exponent.  Raises ValueError otherwise."""
+    nu = float(nu)
+    if not 0.0 <= nu <= 1.0:
+        raise ValueError(f"nu must lie in [0, 1], got {nu}")
+    return nu
+
+
 def count_profile(spectrum: Union[Spectrum, np.ndarray],
                   r_grid: Sequence[float],
                   nu: float) -> CountReport:
-    """Count eigenvalues of modulus >= r over an ascending grid in (0, 1.1]."""
+    """Count eigenvalues of modulus >= r over an ascending grid in (0, 1.1],
+    rescaled by N^nu with nu in [0, 1]."""
     eigenvalues = (spectrum.eigenvalues if isinstance(spectrum, Spectrum)
                    else np.asarray(spectrum))
     radii = _check_radii(r_grid)
+    nu = _check_nu(nu)
 
     moduli = np.sort(np.abs(eigenvalues))
     counts = moduli.size - np.searchsorted(moduli, radii, side="left")
     N = eigenvalues.shape[0]
     return CountReport(
         dimension=N,
-        nu=float(nu),
+        nu=nu,
         radii=radii,
         counts=counts.astype(np.int64),
         rescaled=counts / float(N) ** nu,
@@ -377,10 +389,14 @@ def _split(M: np.ndarray, projector: np.ndarray):
 
 
 def _blocks(M: np.ndarray, projector: np.ndarray):
-    """Blocks (A, B, C, D) of M in the ran(Pi) + ker(Pi) splitting."""
+    """Blocks (A, B, C, D) = (M[P, P], M[P, J], M[J, P], M[J, J]) of M in
+    the ran(Pi) + ker(Pi) splitting, cut to the bulk indices J whose
+    column of M is nonzero on any row: a bulk column that is zero on the
+    bulk rows alone still feeds B, so it stays in J."""
     M, kept, rest = _split(M, projector)
-    return (M[np.ix_(kept, kept)], M[np.ix_(kept, rest)],
-            M[np.ix_(rest, kept)], M[np.ix_(rest, rest)])
+    J = np.intersect1d(rest, _nonzero_columns(M))
+    return (M[np.ix_(kept, kept)], M[np.ix_(kept, J)],
+            M[np.ix_(J, kept)], M[np.ix_(J, J)])
 
 
 def _nonzero_columns(matrix: np.ndarray) -> np.ndarray:
@@ -443,9 +459,6 @@ class EffectiveHamiltonianReport:
     bulk_spectral_radius: float
     radius: float
     probes: Tuple[complex, ...]
-    determinant_full: Tuple[complex, ...]
-    determinant_effective: Tuple[complex, ...]
-    determinant_bulk: Tuple[complex, ...]
     identity_rel_errors: Tuple[float, ...]
     max_identity_rel_error: float
     outer_eigenvalues: Tuple[complex, ...]
@@ -457,40 +470,35 @@ class EffectiveHamiltonianReport:
     match_tol: float
 
 
+def _solve_bulk(K: np.ndarray, X: np.ndarray, lam: complex) -> np.ndarray:
+    """K^{-1} X for K = I - D/lam, refusing a singular or overflowing K."""
+    try:
+        Y = np.linalg.solve(K, X)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolvent(f"bulk resolvent singular at probe {lam}") from exc
+    if not np.all(np.isfinite(Y)):
+        raise SingularResolvent(f"bulk resolvent overflowed at probe {lam}")
+    return Y
+
+
 def _effective_pieces(A, B, C, D, lam, derivative=True):
-    """E(lam) and, when asked, its lam-derivative (else None).
+    """E(lam) and, when asked, its lam-derivative (else None), from the
+    cut blocks of :func:`_blocks`.  With K = I - D/lam,
 
-    The bulk resolvent R = (I - D/lam)^{-1} is never formed.  D vanishes
-    off its nonzero columns J, so R X = X + D[:, J] K^{-1} X[J] / lam
-    with K = I - D[J, J]/lam: one |J| x |J| solve against the columns
-    of X.
+        E  = I - A/lam - B K^{-1} C / lam^2,
+        E' = A/lam^2 + 2 B K^{-1} C / lam^3 + B K^{-1} D K^{-1} C / lam^4,
+
+    by two solves against K; its inverse is never formed.
     """
-    k = A.shape[0]
-    E = np.eye(k, dtype=complex) - A / lam
-    if D.shape[0] == 0:
-        return E, (A / lam ** 2 if derivative else None)
-    J = _nonzero_columns(D)
-    DJ = D[:, J]
-    K = np.eye(J.size, dtype=complex) - DJ[J] / lam
-
-    def resolve(X):
-        if J.size == 0:
-            return X
-        try:
-            Y = np.linalg.solve(K, X[J])
-        except np.linalg.LinAlgError as exc:
-            raise SingularResolvent(f"bulk resolvent singular at probe {lam}") from exc
-        if not np.all(np.isfinite(Y)):
-            raise SingularResolvent(f"bulk resolvent overflowed at probe {lam}")
-        return X + DJ @ Y / lam
-
-    RC = resolve(C)
-    BRC = B @ RC
-    E -= BRC / lam ** 2
+    E = np.eye(A.shape[0], dtype=complex) - A / lam
+    K = np.eye(D.shape[0], dtype=complex) - D / lam
+    KC = _solve_bulk(K, C, lam)
+    BKC = B @ KC
+    E -= BKC / lam ** 2
     if not derivative:
         return E, None
-    BRDRC = B @ resolve(DJ @ RC[J])
-    dE = A / lam ** 2 + 2.0 * BRC / lam ** 3 + BRDRC / lam ** 4
+    BKDKC = B @ _solve_bulk(K, D @ KC, lam)
+    dE = A / lam ** 2 + 2.0 * BKC / lam ** 3 + BKDKC / lam ** 4
     return E, dE
 
 
@@ -502,14 +510,6 @@ def _logdet(matrix: np.ndarray) -> complex:
     if sign == 0:
         return complex(-np.inf, 0.0)
     return complex(logabs, np.angle(sign))
-
-
-def _det_from_log(logdet: complex) -> complex:
-    if logdet.real == -np.inf:
-        return 0.0 + 0.0j
-    if logdet.real > 700.0:  # exp would overflow; report the direction only
-        return complex(np.inf, 0.0)
-    return complex(np.exp(logdet))
 
 
 def match_spectra(reference: Sequence[complex], candidate: Sequence[complex],
@@ -560,13 +560,8 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     A, B, C, D = _blocks(M, projector)
     rank = A.shape[0]
 
-    # D vanishes off its nonzero columns J, so (Sylvester) the nonzero
-    # eigenvalues of D and det(I - D/lam) are those of the J x J block
-    J = _nonzero_columns(D)
-    D_JJ = D[np.ix_(J, J)]
-    eye_j = np.eye(J.size, dtype=complex)
-    bulk_eigs = np.linalg.eigvals(D_JJ) if J.size else np.zeros(0, dtype=complex)
-    r_bulk = float(np.abs(bulk_eigs).max()) if bulk_eigs.size else 0.0
+    # the bulk radius and det(I - D/lam) are those of the cut block D
+    r_bulk = float(np.abs(np.linalg.eigvals(D)).max(initial=0.0))
     margin = r_bulk + 1e-6
     for p in probes:
         if abs(p) <= margin:
@@ -579,17 +574,15 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
 
     # --- determinant identity at the probes; the full N x N determinant
     # is the independent side ---
-    det_full, det_eff, det_bulk, rel_errors = [], [], [], []
+    eye_j = np.eye(D.shape[0], dtype=complex)
+    rel_errors = []
     for lam in probes:
         E, _ = _effective_pieces(A, B, C, D, lam, derivative=False)
         full = M / -lam
         full.flat[::N + 1] += 1.0  # I - M/lam without an N x N identity
         log_full = _logdet(full)
         log_eff = _logdet(E)
-        log_bulk = _logdet(eye_j - D_JJ / lam)
-        det_full.append(_det_from_log(log_full))
-        det_eff.append(_det_from_log(log_eff))
-        det_bulk.append(_det_from_log(log_bulk))
+        log_bulk = _logdet(eye_j - D / lam)
         lhs_singular = log_full.real == -np.inf
         rhs_singular = (log_eff.real == -np.inf) or (log_bulk.real == -np.inf)
         if lhs_singular and rhs_singular:
@@ -637,9 +630,6 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
         bulk_spectral_radius=r_bulk,
         radius=float(radius),
         probes=probes,
-        determinant_full=tuple(det_full),
-        determinant_effective=tuple(det_eff),
-        determinant_bulk=tuple(det_bulk),
         identity_rel_errors=tuple(rel_errors),
         max_identity_rel_error=max(rel_errors),
         outer_eigenvalues=outer,

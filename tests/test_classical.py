@@ -7,6 +7,7 @@ and the transfer-operator route.
 """
 
 import inspect
+import itertools
 import math
 import textwrap
 import tracemalloc
@@ -19,11 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from oqmap import (
     BakerSpec,
-    Word,
-    admissible_words,
     cantor_dimension,
     escape_report,
-    escape_time,
     pressure,
     spec_digest,
     step,
@@ -31,7 +29,6 @@ from oqmap import (
     thermo_report,
     trapped_cover,
     validate_spec,
-    word_interval,
 )
 from oqmap import classical
 from oqmap.classical import _perron_frobenius_full_shift, _refine
@@ -42,12 +39,55 @@ from oqmap.errors import (
     NonMonotonePartition,
     NumericalError,
     OutOfDomain,
+    ValidationError,
 )
 
 from conftest import fraction_intervals, random_rational_spec
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
+
+
+def reflection_symmetric(spec):
+    """True iff both partition widths and keep set are invariant under
+    the relabeling i -> D-1-i."""
+    D = spec.branch_count
+    ls = spec.lengths
+    widths_ok = all(ls[i] == ls[D - 1 - i] for i in range(D))
+    keep_ok = sorted(D - 1 - i for i in spec.keep) == list(spec.keep)
+    return widths_ok and keep_ok
+
+
+def escape_time(spec, point, horizon):
+    """Number of completed steps before the forward orbit enters the hole:
+    0 for a point already in a removed rectangle, None if the orbit is
+    still alive after ``horizon`` steps."""
+    for t in range(horizon):
+        point = step(spec, point)
+        if point is None:
+            return t
+    return None
+
+
+def word_interval(spec, symbols):
+    """The half-open interval of coordinates whose itinerary starts with
+    ``symbols``, by nesting I_(s w) = x_s + ell_s * I_w.  Exact rationals."""
+    for s in symbols:
+        if s not in spec.keep:
+            raise ValueError(f"symbol {s} not in keep set {spec.keep}")
+    lo, width = Fraction(0), Fraction(1)
+    for s in symbols:
+        lo = lo + width * spec.partition[s]
+        width = width * spec.lengths[s]
+    return (lo, lo + width)
+
+
+def admissible_words(spec, length):
+    """All |keep|^length symbol tuples over the kept alphabet, in
+    lexicographic order."""
+    if length < 0:
+        raise ValueError("word length must be >= 0")
+    return list(itertools.product(spec.keep, repeat=length))
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +101,18 @@ class TestValidation:
         assert spec3.kept_lengths == (Fraction(1, 3), Fraction(1, 3))
         assert spec3.survival_fraction == Fraction(2, 3)
         assert spec3.symmetric()
-        assert spec3.reflection_symmetric()
+        assert reflection_symmetric(spec3)
 
     def test_five_branch_spec(self, spec5):
         assert spec5.branch_count == 5
         assert spec5.survival_fraction == Fraction(2, 5)
-        assert spec5.reflection_symmetric()
+        assert reflection_symmetric(spec5)
 
     def test_asym_spec(self, asym_spec):
         assert asym_spec.lengths == (
             Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
         assert not asym_spec.symmetric()
-        assert not asym_spec.reflection_symmetric()
+        assert not reflection_symmetric(asym_spec)
 
     def test_nonmonotone_partition(self):
         with pytest.raises(NonMonotonePartition):
@@ -179,7 +219,7 @@ class TestEscapeTime:
 
     def test_matches_symbolic_interval(self, spec3):
         # points sharing the level-3 itinerary (0,2,0) survive 3 steps
-        lo, hi = word_interval(spec3, Word((0, 2, 0)))
+        lo, hi = word_interval(spec3, (0, 2, 0))
         mid = (lo + hi) / 2
         assert escape_time(spec3, (mid, Fraction(0)), 3) is None
 
@@ -190,27 +230,23 @@ class TestEscapeTime:
 
 class TestWords:
     def test_single_symbol_interval(self, spec3):
-        assert word_interval(spec3, Word((0,))) == (Fraction(0), Fraction(1, 3))
-        assert word_interval(spec3, Word((2,))) == (Fraction(2, 3), Fraction(1))
+        assert word_interval(spec3, (0,)) == (Fraction(0), Fraction(1, 3))
+        assert word_interval(spec3, (2,)) == (Fraction(2, 3), Fraction(1))
 
     def test_nested_interval(self, spec3):
-        assert word_interval(spec3, Word((0, 2))) == (
+        assert word_interval(spec3, (0, 2)) == (
             Fraction(2, 9), Fraction(1, 3))
 
     def test_empty_word_is_unit_interval(self, spec3):
-        assert word_interval(spec3, Word(())) == (Fraction(0), Fraction(1))
+        assert word_interval(spec3, ()) == (Fraction(0), Fraction(1))
 
     def test_rejects_removed_symbol(self, spec3):
         with pytest.raises(ValueError):
-            word_interval(spec3, Word((0, 1)))
+            word_interval(spec3, (0, 1))
 
     def test_admissible_enumeration(self, spec3):
-        words = list(admissible_words(spec3, 2))
-        assert [w.symbols for w in words] == [(0, 0), (0, 2), (2, 0), (2, 2)]
-
-    def test_word_direction_validation(self):
-        with pytest.raises(ValueError):
-            Word((0,), "diagonal")
+        words = admissible_words(spec3, 2)
+        assert words == [(0, 0), (0, 2), (2, 0), (2, 2)]
 
 
 class TestTrappedCover:
@@ -584,6 +620,21 @@ class TestThermoReport:
             values = thermo_report(spec, grid).values
             assert [v.hex() for v in values] == [
                 pressure(spec, float(s)).hex() for s in grid]
+
+    @pytest.mark.parametrize("partition,keep,s", [
+        pytest.param("0,1/3,2/3,1", (0, 2), -2000.0, id="overflow"),
+        pytest.param("0,1/47,30/47,1", (0, 2), 1000.0, id="underflow"),
+        pytest.param("0,1/1" + "0" * 400 + ",1", (0,), -1.0,
+                     id="width underflows to 0.0"),
+    ])
+    def test_grid_outside_float_range_raises(self, partition, keep, s):
+        # one closed form refuses it for the report and for pressure()
+        spec = validate_spec(partition.split(","), keep)
+        with pytest.raises(ValidationError, match=f"s={s}") as report_err:
+            thermo_report(spec, [0.0, s])
+        with pytest.raises(ValidationError, match="widths") as pressure_err:
+            pressure(spec, s)
+        assert str(report_err.value) == str(pressure_err.value)
 
     def test_custom_grid(self, spec3):
         grid = np.linspace(0.0, 1.0, 11)

@@ -189,6 +189,18 @@ class TestThermo:
         assert run(["thermo", "--partition", "0,1/3,x,1",
                     "--keep", "0,2", "--outdir", tmp_path]) == 2
 
+    @pytest.mark.parametrize("argv,s", [
+        ([*D3, "--s-grid=-2000:3:5"], "s=-2000.0"),
+        (["--partition", "0,1/47,30/47,1", "--keep", "0,2",
+          "--s-grid=1000:1000:1"], "s=1000.0"),
+    ])
+    def test_s_grid_outside_float_range_exits_2(self, tmp_path, capsys,
+                                                argv, s):
+        assert run(["thermo", *argv, "--outdir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert s in err and "widths" in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestEscape:
     def test_exact_volumes(self, tmp_path):
@@ -343,6 +355,11 @@ class TestWalsh:
     def test_guard_exits_2(self, tmp_path):
         assert run(["walsh", "--branches", "3", "--keep", "0,2",
                     "--word-length", "10", "--outdir", tmp_path]) == 2
+
+    def test_huge_word_length_names_the_guard(self, tmp_path, capsys):
+        assert run(["walsh", "--branches", "3", "--keep", "0,2",
+                    "--word-length", "99999", "--outdir", tmp_path]) == 2
+        assert "dense guard" in capsys.readouterr().err
 
     def test_dense_guard_exits_2(self, tmp_path):
         # 3^8 = 6561 lies above the dense guard of the eigensolver
@@ -548,6 +565,10 @@ HUGE = "1000000000000000"
                  id="count r=0"),
     pytest.param(["count", *D3, "--N", "972", "--r-grid", "0.9:0.1:10"],
                  id="count descending"),
+    # the rescaling exponent lies in [0, 1], checked before quantizing
+    pytest.param(["count", *D3, "--N", "9", "--nu", "1e308"], id="count nu huge"),
+    pytest.param(["count", *D3, "--N", "972", "--nu", "150"], id="count nu 150"),
+    pytest.param(["count", *D3, "--N", "9", "--nu", "-400"], id="count nu negative"),
     # the exact strip covers are built before the map is quantized
     pytest.param(["husimi", *D5, "--N", "500", "--level", "30"],
                  id="husimi interval guard"),

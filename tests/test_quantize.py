@@ -31,13 +31,13 @@ from oqmap import (
     walsh_open,
 )
 from oqmap.errors import (
-    AsymmetricSpec,
     DimensionGuard,
     DivisibilityError,
     EndpointMismatch,
     LengthMismatch,
-    ParityNotExact,
+    NumericalError,
     SolverFailure,
+    ValidationError,
 )
 
 import oqmap.quantize
@@ -94,6 +94,25 @@ def fft_build_deviation(tag: str, N: int, bloch) -> float:
     quant = quantize_open(get_spec(tag), QuantizationConfig(N, bloch))
     U = quant.unitary.matrix
     return float(np.abs(U - matmul_unitary(quant.unitary.block_sizes, bloch)).max())
+
+
+class AsymmetricSpec(ValidationError):
+    """Parity splitting needs a partition and keep set symmetric under
+    the reflection i -> D-1-i."""
+
+
+class ParityNotExact(NumericalError):
+    """The reflection operator does not commute with the map to tolerance.
+
+    Carries the measured commutator norm; signals that the chosen Bloch
+    phases do not support exact parity (use (1/2, 1/2) for that).
+    """
+
+    def __init__(self, commutator_norm: float):
+        self.commutator_norm = float(commutator_norm)
+        super().__init__(
+            f"reflection commutator norm {self.commutator_norm:.3e} exceeds 1e-8"
+        )
 
 
 def parity_split(qmap):
@@ -415,6 +434,17 @@ class TestWalsh:
         try:
             with pytest.raises(DimensionGuard):
                 walsh_open(3, (0, 2), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_dimension_guard_before_the_spec(self):
+        # D = 20000 is refused before its D + 1 partition points are built
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionGuard, match="D=20000, k=1"):
+                walsh_open(20000, (0, 2), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -38,7 +38,7 @@ from oqmap.spectral import (
     _blocks,
     _core,
     _effective_pieces,
-    _nonzero_columns,
+    _split,
 )
 
 from conftest import (
@@ -149,6 +149,12 @@ class TestCountProfile:
             count_profile(eigs, [0.0, 0.5], nu=0.5)
         with pytest.raises(ValueError):
             count_profile(eigs, [0.5, 1.2], nu=0.5)
+
+    @pytest.mark.parametrize("nu", [-400.0, -1e-12, 1.0 + 1e-12, 150.0,
+                                    1e308, math.nan])
+    def test_nu_outside_weyl_range(self, nu):
+        with pytest.raises(ValueError, match=r"nu must lie in \[0, 1\]"):
+            count_profile(np.array([0.5]), [0.25], nu=nu)
 
 
 class TestWeylFit:
@@ -291,8 +297,8 @@ class TestEffectiveHamiltonian:
         assert report.bulk_spectral_radius == 0.0
         assert report.max_identity_rel_error <= 1e-12
         assert report.unmatched == 0
-        # with an empty bulk the bulk determinant is the empty product
-        assert all(abs(d - 1.0) <= 1e-12 for d in report.determinant_bulk)
+        # a full projector leaves the cut bulk empty
+        assert _blocks(M, np.ones(2))[3].shape == (0, 0)
 
     def test_identity_random_mixed_blocks(self, rng):
         # spec example: modest random matrix, rank-3 orthoprojector,
@@ -372,7 +378,8 @@ class TestEffectiveHamiltonian:
 # ---------------------------------------------------------------------------
 
 def full_inverse_pieces(A, B, C, D, lam, derivative=True):
-    """E(lam) and dE(lam) through the full bulk inverse (I - D/lam)^{-1}."""
+    """E(lam) and dE(lam) through the full bulk inverse (I - D/lam)^{-1},
+    on the uncut blocks of full_blocks."""
     k, nb = A.shape[0], D.shape[0]
     if nb == 0:
         return np.eye(k, dtype=complex) - A / lam, A / lam ** 2
@@ -394,6 +401,28 @@ def projector_split(projector):
         return np.flatnonzero(P == 1.0), np.flatnonzero(P == 0.0), None, None
     values, vectors = np.linalg.eigh(P)
     return None, None, vectors[:, values > 0.5], vectors[:, values <= 0.5]
+
+
+def full_blocks(matrix, projector):
+    """Uncut blocks (A, B, C, D): the bulk D is the whole kernel block,
+    by index slicing for a diagonal projector or through the bases (V, W)
+    for a matrix projector."""
+    M = np.asarray(getattr(matrix, "matrix", matrix))
+    kept, rest, V, W = projector_split(projector)
+    if V is None:
+        return (M[np.ix_(kept, kept)], M[np.ix_(kept, rest)],
+                M[np.ix_(rest, kept)], M[np.ix_(rest, rest)])
+    Vh, Wh = V.conj().T, W.conj().T
+    return Vh @ M @ V, Vh @ M @ W, Wh @ M @ V, Wh @ M @ W
+
+
+def bulk_columns_blocks(matrix, projector):
+    """Mutant _blocks: J from the columns of the bulk block alone, so a
+    bulk column that is nonzero only on kept rows is dropped from B."""
+    M, kept, rest = _split(matrix, projector)
+    J = rest[np.any(M[np.ix_(rest, rest)] != 0, axis=0)]
+    return (M[np.ix_(kept, kept)], M[np.ix_(kept, J)],
+            M[np.ix_(J, kept)], M[np.ix_(J, J)])
 
 
 def full_power_residual_decay(matrix, projector, m_max=6):
@@ -425,6 +454,11 @@ def kept_column_cases():
     # twelve separated outer eigenvalues near 0.8 over a dense random bulk
     dense = (rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))) / 40.0
     dense[range(12), range(12)] += 0.8 * np.exp(2j * np.pi * np.arange(12) / 12)
+    # four outer eigenvalues near 0.8; bulk column 9 is zero on the bulk
+    # rows but not on the kept rows, so B needs it
+    kept_rows = (rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))) / 12.0
+    kept_rows[range(4), range(4)] += 0.8 * np.exp(2j * np.pi * np.arange(4) / 4 + 0.3j)
+    kept_rows[4:, 9] = 0.0
     return {
         # diagonal cover: D keeps some zero columns, J is a proper subset
         "quasiprojector": (M, quasi.diagonal, 0.5),
@@ -434,6 +468,8 @@ def kept_column_cases():
         "dense M": (dense, (np.arange(40) < 12).astype(float), 0.5),
         # matrix projector: rotated, so D is dense
         "matrix projector": (M, random_orthoprojector(125, 30, 3), 0.8),
+        # a bulk column nonzero only on kept rows
+        "kept rows only": (kept_rows, (np.arange(12) < 4).astype(float), 0.5),
     }
 
 
@@ -446,30 +482,49 @@ def assert_close(got, want, rtol=1e-12):
     assert np.all(np.abs(got - want) <= rtol * np.abs(want))
 
 
+def pieces_error(M, projector, lams=(1.5, 0.9 * np.exp(0.7j), 0.55 + 0.05j)):
+    """Worst relative deviation of E and dE on the library's cut blocks
+    from the full-inverse forms on the uncut blocks."""
+    cut, full = oqmap.spectral._blocks(M, projector), full_blocks(M, projector)
+    worst = 0.0
+    for lam in lams:
+        E, dE = _effective_pieces(*cut, lam)
+        E0, dE0 = full_inverse_pieces(*full, lam)
+        worst = max(worst, np.linalg.norm(E - E0) / np.linalg.norm(E0),
+                    np.linalg.norm(dE - dE0) / np.linalg.norm(dE0))
+        E1, none = _effective_pieces(*cut, lam, derivative=False)
+        assert none is None
+        assert np.array_equal(E1, E)
+    return worst
+
+
 class TestKeptColumns:
     def test_cases_cover_each_bulk_shape(self):
-        sizes = {}
-        for case, (M, projector, _) in CASES.items():
-            D = _blocks(M, projector)[3]
-            sizes[case] = (_nonzero_columns(D).size, D.shape[0])
+        # (|J|, full bulk size) of each case
+        sizes = {case: (_blocks(M, projector)[3].shape[0],
+                        full_blocks(M, projector)[3].shape[0])
+                 for case, (M, projector, _) in CASES.items()}
         J, nb = sizes["quasiprojector"]
         assert 0 < J < nb
         assert sizes["empty J"][0] == 0 < sizes["empty J"][1]
         assert sizes["dense M"][0] == sizes["dense M"][1]
         assert sizes["matrix projector"][0] == sizes["matrix projector"][1]
+        # J keeps the bulk column that only the kept rows reach
+        assert sizes["kept rows only"][0] == sizes["kept rows only"][1]
+        M, projector, _ = CASES["kept rows only"]
+        bulk = full_blocks(M, projector)[3]
+        assert not bulk[:, 9 - 4].any() and M[:4, 9].any()
 
     @pytest.mark.parametrize("case", CASES)
     def test_pieces_match_full_inverse(self, case):
         M, projector, radius = CASES[case]
-        A, B, C, D = _blocks(M, projector)
-        for lam in (1.5, 0.9 * np.exp(0.7j), radius + 0.05j):
-            E, dE = _effective_pieces(A, B, C, D, lam)
-            E0, dE0 = full_inverse_pieces(A, B, C, D, lam)
-            assert np.linalg.norm(E - E0) <= 1e-12 * np.linalg.norm(E0)
-            assert np.linalg.norm(dE - dE0) <= 1e-12 * np.linalg.norm(dE0)
-            E1, none = _effective_pieces(A, B, C, D, lam, derivative=False)
-            assert none is None
-            assert np.array_equal(E1, E)
+        assert pieces_error(M, projector, (1.5, 0.9 * np.exp(0.7j),
+                                           radius + 0.05j)) <= 1e-12
+
+    def test_mutant_cut_is_caught(self, monkeypatch):
+        M, projector, _ = CASES["kept rows only"]
+        monkeypatch.setattr(oqmap.spectral, "_blocks", bulk_columns_blocks)
+        assert pieces_error(M, projector) > 1e-6
 
     @pytest.mark.parametrize("case", CASES)
     def test_residual_decay_matches_full_powers(self, case):
@@ -482,6 +537,8 @@ class TestKeptColumns:
         M, projector, radius = CASES[case]
         probes = probe_ring(1.5, 6)
         got = effective_hamiltonian(M, projector, probes, radius)
+        # the want report never sees the cut
+        monkeypatch.setattr(oqmap.spectral, "_blocks", full_blocks)
         monkeypatch.setattr(oqmap.spectral, "_effective_pieces",
                             full_inverse_pieces)
         monkeypatch.setattr(oqmap.spectral, "residual_decay",
@@ -491,15 +548,20 @@ class TestKeptColumns:
         assert got.outer_eigenvalues  # every case has roots to refine
         assert_close(got.refined_roots, want.refined_roots)
         assert_close(got.residual_norms, want.residual_norms)
-        assert_close(got.determinant_effective, want.determinant_effective)
         assert got.unmatched == want.unmatched == 0
-        # the bulk side against the full N x N bulk block, by Sylvester
-        A, B, C, D = _blocks(M, projector)
-        r_bulk = float(np.abs(np.linalg.eigvals(D)).max()) if D.size else 0.0
+        # the bulk radius against the full bulk's eigenvalues, by Sylvester
+        r_bulk = want.bulk_spectral_radius
         assert abs(got.bulk_spectral_radius - r_bulk) <= 1e-12 * max(r_bulk, 1e-3)
-        for lam, det_bulk in zip(probes, got.determinant_bulk):
-            want_det = np.linalg.det(np.eye(D.shape[0]) - D / lam)
-            assert abs(det_bulk - want_det) <= 1e-12 * abs(want_det)
+        # det E and det(I - D/lam) of the cut blocks against the uncut ones
+        cut, full = _blocks(M, projector), full_blocks(M, projector)
+        for lam in probes:
+            det_e = np.linalg.det(_effective_pieces(*cut, lam, False)[0])
+            want_e = np.linalg.det(full_inverse_pieces(*full, lam)[0])
+            assert abs(det_e - want_e) <= 1e-12 * abs(want_e)
+            D, D0 = cut[3], full[3]
+            det_bulk = np.linalg.det(np.eye(D.shape[0]) - D / lam)
+            want_bulk = np.linalg.det(np.eye(D0.shape[0]) - D0 / lam)
+            assert abs(det_bulk - want_bulk) <= 1e-12 * abs(want_bulk)
         assert got.max_identity_rel_error <= 1e-12
 
     def test_m_max_checked_before_any_work(self, monkeypatch):
