@@ -161,6 +161,8 @@ def validate_spec(partition: Sequence[Rational], keep: Sequence[int]) -> BakerSp
 
 def symmetric_spec(D: int, keep: Sequence[int]) -> BakerSpec:
     """The D-symbol baker with equal widths 1/D and the given hole."""
+    if D < 2:  # before Fraction(i, D), which D = 0 would divide by
+        raise EmptyOrFullKeepSet("need at least 2 rectangles to open a map")
     return validate_spec([Fraction(i, D) for i in range(D + 1)], keep)
 
 

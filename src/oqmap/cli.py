@@ -69,6 +69,7 @@ from .serialize import (
 from .spectral import (
     _check_m_max,
     _check_nu,
+    _check_probes,
     _check_radii,
     count_profile,
     effective_hamiltonian,
@@ -422,14 +423,15 @@ def cmd_effective(args, out: Path):
     if args.probe_count < 1:
         raise ValidationError(f"need at least one probe, got {args.probe_count}")
     _check_m_max(args.m_max)
+    probes = [args.probe_radius * np.exp(2j * np.pi * j / args.probe_count)
+              for j in range(args.probe_count)]
+    _check_probes(probes)
     spec = _spec_from_args(args, allow_decimal=False)
     bloch = parse_bloch(args.bloch)
     config = QuantizationConfig(args.N, bloch)
     # the cover is cheap and exact: refuse a bad level before quantizing
     quasi = trapped_quasiprojector(spec, config, args.level)
     qmap = quantize_open(spec, config).open_map
-    probes = [args.probe_radius * np.exp(2j * np.pi * j / args.probe_count)
-              for j in range(args.probe_count)]
     report = effective_hamiltonian(qmap, quasi.diagonal,
                                    probes, args.radius, m_max=args.m_max)
     lines = ["index,eig_re,eig_im,root_re,root_im,distance"]

@@ -8,8 +8,8 @@ N-dimensional position lattice {j/N} as
 where F_* are (generalized) discrete Fourier transforms and the block
 sizes N*ell_i must be integers.  Opening the map multiplies from the
 right by the 0/1 position projector Pi onto the kept rectangles:
-M_N = U_N Pi.  No Fourier matrix is formed: U_N = apply(I) at
-O(N^2 log N), each F_* applied as one FFT between two diagonal twiddles.
+M_N = U_N Pi.  No Fourier matrix is formed: M_N = apply(I[:, nz]) on the
+kept columns nz at O(N |nz| log N), and U_N = apply(I) only on demand.
 M_N is a partial isometry: its singular values are exactly
 N*sum(ell_kept) ones and the rest zeros, so all eigenvalues lie in the
 closed unit disk and model resonances with lifetimes
@@ -43,7 +43,7 @@ which the parity operator R: j -> N-1-j commutes with U_N exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -112,11 +112,16 @@ class QuantizedMap:
 
 @dataclass(frozen=True)
 class OpenQuantization:
-    """The (U, Pi, M) triple produced by quantize_open."""
+    """Pi and M = U Pi from quantize_open; .unitary builds U on each access."""
 
-    unitary: QuantizedMap
     projector: np.ndarray  # 0/1 diagonal, length N
     open_map: QuantizedMap
+
+    @property
+    def unitary(self) -> QuantizedMap:
+        sizes, bloch = self.open_map.block_sizes, self.open_map.bloch
+        return replace(self.open_map, kind="closed_unitary",
+                       matrix=_block_columns(sizes, range(len(sizes)), bloch))
 
 
 def _gdft_apply(X: np.ndarray, bloch: Tuple[float, float],
@@ -154,34 +159,31 @@ def _block_sizes(spec: BakerSpec, N: int) -> Tuple[int, ...]:
     return tuple(sizes)
 
 
+def _block_columns(sizes: Tuple[int, ...], blocks: Sequence[int],
+                   bloch: Tuple[float, float]) -> np.ndarray:
+    """U's columns for the given blocks, zero elsewhere: block i's are the
+    inverse transform of an N x size_i slice holding F_{size_i} on its rows."""
+    N = sum(sizes)
+    out = np.zeros((N, N), dtype=complex)
+    for i in blocks:
+        cols = slice(sum(sizes[:i]), sum(sizes[:i + 1]))
+        inner = np.zeros((N, sizes[i]), dtype=complex)
+        inner[cols] = _gdft_apply(np.eye(sizes[i]), bloch)
+        out[:, cols] = _gdft_apply(inner, bloch, inverse=True)
+    return out
+
+
 def quantize_open(spec: BakerSpec, config: QuantizationConfig) -> OpenQuantization:
-    """Standard quantization U = F_N^dagger . blockdiag(F_{N ell_i}),
-    opened by the diagonal projector onto kept-position indices."""
+    """M = U Pi, built on the kept blocks' columns only (the rest hold +0)."""
     N = config.dimension
     if N > DENSE_GUARD:
         raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
     sizes = _block_sizes(spec, N)
-
-    inner = np.zeros((N, N), dtype=complex)
-    offset = 0
-    for size in sizes:
-        inner[offset:offset + size, offset:offset + size] = _gdft_apply(
-            np.eye(size), config.bloch)
-        offset += size
-    U = _gdft_apply(inner, config.bloch, inverse=True)
-
-    diag = np.zeros(N)
-    offset = 0
-    for i, size in enumerate(sizes):
-        if i in spec.keep:
-            diag[offset:offset + size] = 1.0
-        offset += size
-
-    digest = spec_digest(spec)
-    unitary = QuantizedMap(U, "closed_unitary", digest, spec.keep, sizes, config.bloch)
-    open_map = QuantizedMap(U * diag[None, :], "open_standard",
-                            digest, spec.keep, sizes, config.bloch)
-    return OpenQuantization(unitary=unitary, projector=diag, open_map=open_map)
+    diag = np.repeat([float(i in spec.keep) for i in range(len(sizes))], sizes)
+    open_map = QuantizedMap(_block_columns(sizes, spec.keep, config.bloch),
+                            "open_standard", spec_digest(spec), spec.keep, sizes,
+                            config.bloch)
+    return OpenQuantization(projector=diag, open_map=open_map)
 
 
 # ---------------------------------------------------------------------------

@@ -116,14 +116,12 @@ def write_matrix(path: PathLike, matrix: np.ndarray) -> Path:
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {M.shape}")
     rows, cols = M.shape
-    interleaved = np.empty((cols, rows, 2), dtype="<f8")
-    interleaved[:, :, 0] = M.T.real
-    interleaved[:, :, 1] = M.T.imag
     path = Path(path)
     with path.open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<QQ", rows, cols))
-        fh.write(interleaved.tobytes())
+        # one column-major copy; each complex128 is its (re, im) pair
+        fh.write(np.ascontiguousarray(M.T, dtype="<c16"))
     return path
 
 
@@ -133,11 +131,11 @@ def read_matrix(path: PathLike) -> np.ndarray:
         if magic != MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {MAGIC!r}")
         rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(rows * cols * 16), dtype="<f8")
-    if data.size != rows * cols * 2:
+        data = fh.read(rows * cols * 16)
+    if len(data) != rows * cols * 16:
         raise ValueError("matrix file truncated")
-    pairs = data.reshape(cols, rows, 2)
-    return (pairs[:, :, 0] + 1j * pairs[:, :, 1]).T.copy()
+    # whole complex128 entries: re + 1j * im loses -0.0 and inf imaginary parts
+    return np.frombuffer(data, dtype="<c16").reshape(cols, rows).T.copy()
 
 
 def write_matrix_csv(path: PathLike, matrix: np.ndarray) -> Path:

@@ -45,6 +45,7 @@ an exact null vector when j falls in sweep 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
@@ -409,6 +410,16 @@ def _check_m_max(m_max: int) -> None:
         raise ValueError(f"m_max must be in 1..12, got {m_max}")
 
 
+def _check_probes(probes: Sequence[complex]) -> None:
+    """E(lam) divides by lam^2, so each |lam|^2 must be a finite float."""
+    bound = math.sqrt(sys.float_info.max)
+    for z in map(complex, probes):
+        modulus = math.hypot(z.real, z.imag)  # abs(z) raises past float max
+        if not math.isfinite(modulus * modulus):
+            raise ValueError(f"probe modulus {modulus:.6g} has no finite square: "
+                             f"it must stay below sqrt(float max) = {bound:.6g}")
+
+
 def residual_decay(matrix: MatrixLike, projector: np.ndarray,
                    m_max: int = 6) -> Tuple[float, ...]:
     """Operator norms ||(I - Pi) M^m||_2 for m = 1..m_max (m_max <= 12).
@@ -554,6 +565,7 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     probes = tuple(complex(p) for p in probes)
     if not probes:
         raise ValueError("the determinant identity needs at least one probe")
+    _check_probes(probes)
     _check_m_max(m_max)
     M = _as_matrix(matrix)
     N = M.shape[0]

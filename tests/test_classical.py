@@ -129,6 +129,10 @@ class TestValidation:
             symmetric_spec(3, (0, 1, 2))
         with pytest.raises(EmptyOrFullKeepSet):
             symmetric_spec(3, (0, 5))
+        # fewer than two rectangles, refused before Fraction(i, D) divides by 0
+        for D in (0, 1, -1):
+            with pytest.raises(EmptyOrFullKeepSet, match="at least 2 rectangles"):
+                symmetric_spec(D, (0,))
         # the boundary normalizes order and duplicates; only direct
         # dataclass construction insists on canonical form
         assert symmetric_spec(3, (2, 0, 2)) == symmetric_spec(3, (0, 2))

@@ -15,8 +15,15 @@ import numpy as np
 import pytest
 
 import oqmap.cli
+import oqmap.quantize
 import oqmap.spectral
-from oqmap import apply_diagonal_phases, walsh_open
+from oqmap import (
+    QuantizationConfig,
+    apply_diagonal_phases,
+    quantize_open,
+    symmetric_spec,
+    walsh_open,
+)
 from oqmap.cli import (
     exit_code_for,
     finite_float,
@@ -260,8 +267,14 @@ class TestSpectrum:
         M = read_matrix(tmp_path / "spectrum_matrix.bin")
         assert M.shape == (27, 27)
         assert (tmp_path / "spectrum_matrix.csv").exists()
-        # the dumped matrix is the open map itself: column 9..17 zeroed
+        # the dumped matrix is the open map itself: column 9..17 zeroed,
+        # with +0.0 in both parts (U * 0.0 used to leave -0.0)
         assert np.abs(M[:, 9:18]).max() == 0.0
+        assert not np.signbit(M[:, 9:18].view(float)).any()
+        rows = (tmp_path / "spectrum_matrix.csv").read_text().splitlines()[1:]
+        removed = [r for r in rows if 9 <= int(r.split(",")[1]) < 18]
+        assert len(removed) == 27 * 9
+        assert all(r.endswith(",0,0") for r in removed)
 
     def test_dump_matrix_large_skips_csv(self, tmp_path):
         assert run(["spectrum", *D3, "--N", "81", "--dump-matrix",
@@ -540,6 +553,10 @@ HUSIMI = ["husimi", *D3, "--N", "27", "--level", "2"]
     [*EFFECTIVE, "--probe-count", "0"],
     [*EFFECTIVE, "--probe-count", "-3"],
     [*EFFECTIVE, "--probe-radius", "nan"],
+    # 0 divided by zero in symmetric_spec; 1 and -1 leave one rectangle or none
+    ["walsh", "--keep", "0", "--word-length", "1", "--branches", "0"],
+    ["walsh", "--keep", "0", "--word-length", "1", "--branches", "1"],
+    ["walsh", "--keep", "0", "--word-length", "1", "--branches", "-1"],
     [*WALSH3, "--threshold", "nan"],
     [*WALSH3, "--threshold", "-1"],
     ["thermo", *D3, "--s-grid", "nan:1:3"],
@@ -580,6 +597,11 @@ HUGE = "1000000000000000"
                   "--radius", "0.5"], id="effective huge N level 0"),
     pytest.param(["effective", *D5, "--N", HUGE, "--level", "1",
                   "--radius", "0.5"], id="effective huge N level 1"),
+    # E(lam) divides by lam^2, which overflows past sqrt(float max)
+    pytest.param([*EFFECTIVE, "--probe-radius", "1e300"],
+                 id="effective probe square overflows"),
+    pytest.param([*EFFECTIVE, "--probe-radius", "1.4e154"],
+                 id="effective probe past sqrt(float max)"),
     # a sweep with no admissible dimension is refused, not run empty
     pytest.param(["radius-scan", *D3, "--N", "7:8:1"],
                  id="radius-scan none admissible"),
@@ -597,6 +619,20 @@ def test_oversized_input_exits_2_before_allocating(tmp_path, monkeypatch, argv):
     assert status == 2
     assert peak < 1 << 20
     assert not any(tmp_path.iterdir())
+
+
+def test_no_command_forms_the_unitary(tmp_path, monkeypatch):
+    # every command that quantizes needs only the open map M = U Pi
+    monkeypatch.setattr(oqmap.quantize.OpenQuantization, "unitary",
+                        property(unreachable))
+    with pytest.raises(AssertionError):
+        quantize_open(symmetric_spec(3, (0, 2)), QuantizationConfig(9)).unitary
+    names = ("spectrum", "count", "radius-scan", "weyl-fit", "effective", "husimi")
+    runs = [(name, argv) for name, argv in CLI_RUNS if name in names]
+    assert [name for name, _ in runs] == list(names)
+    assert "--dump-matrix" in runs[0][1]
+    for name, argv in runs:
+        assert run([*argv, "--outdir", tmp_path / name]) == 0, name
 
 
 @pytest.mark.parametrize("name,argv", CLI_RUNS, ids=[n for n, _ in CLI_RUNS])

@@ -5,12 +5,14 @@ Matrix-level claims are checked against literal loop evaluations of the
 defining formulas and against closed-form eigenvalues where the blocks
 are small enough to solve by hand (2x2 quadratic formula).  The FFT
 build of the standard map is checked against the dense Fourier-matrix
-product it replaced, and the Walsh build against an entry-by-entry
-scatter.  The parity split, which checks the reflection symmetry of the
-standard map with Bloch phases (1/2, 1/2), lives here as a helper.
+product it replaced, its kept-column build against the full-U build it
+replaced, and the Walsh build against an entry-by-entry scatter.  The
+parity split, which checks the reflection symmetry of the standard map
+with Bloch phases (1/2, 1/2), lives here as a helper.
 """
 
 import cmath
+import dataclasses
 import inspect
 import math
 import textwrap
@@ -89,11 +91,28 @@ def matmul_unitary(sizes, bloch) -> np.ndarray:
     return gdft(N, bloch).conj().T @ inner
 
 
+def full_unitary_build(spec, N: int, bloch):
+    """(U, Pi, M) as quantize_open built them before it kept only the
+    kept columns: the full blockdiag(F_size) 'inner', then U, then U Pi."""
+    sizes = _block_sizes(spec, N)
+    inner = np.zeros((N, N), dtype=complex)
+    diag = np.zeros(N)
+    offset = 0
+    for i, size in enumerate(sizes):
+        inner[offset:offset + size, offset:offset + size] = _gdft_apply(
+            np.eye(size), bloch)
+        if i in spec.keep:
+            diag[offset:offset + size] = 1.0
+        offset += size
+    U = _gdft_apply(inner, bloch, inverse=True)
+    return U, diag, U * diag[None, :]
+
+
 def fft_build_deviation(tag: str, N: int, bloch) -> float:
     """Max entry deviation of quantize_open's U from the matmul build."""
     quant = quantize_open(get_spec(tag), QuantizationConfig(N, bloch))
-    U = quant.unitary.matrix
-    return float(np.abs(U - matmul_unitary(quant.unitary.block_sizes, bloch)).max())
+    U = quant.unitary  # built on each access, so read once
+    return float(np.abs(U.matrix - matmul_unitary(U.block_sizes, bloch)).max())
 
 
 class AsymmetricSpec(ValidationError):
@@ -280,6 +299,57 @@ class TestQuantizeOpen:
         assert quant.open_map.block_sizes == (5, 5, 5, 5, 5)
         assert quant.open_map.bloch == (0.5, 0.5)
         assert quant.open_map.dimension == 25
+
+
+class TestKeptColumnBuild:
+    """quantize_open builds only the kept blocks' columns, and .unitary
+    runs the same block-column build over every block on demand."""
+
+    @pytest.mark.parametrize("bloch", BLOCH_CASES, ids=lambda b: f"{b[0]},{b[1]}")
+    @pytest.mark.parametrize("tag,N", BUILD_CASES)
+    def test_bitwise_full_unitary_build(self, tag, N, bloch):
+        spec = get_spec(tag)
+        quant = quantize_open(spec, QuantizationConfig(N, bloch))
+        U, diag, M = full_unitary_build(spec, N, bloch)
+        assert np.array_equal(quant.projector, diag)
+        assert np.array_equal(quant.open_map.matrix, M)
+        kept = diag == 1.0
+        assert quant.open_map.matrix[:, kept].tobytes() == M[:, kept].tobytes()
+        assert quant.unitary.matrix.tobytes() == U.tobytes()
+
+    @pytest.mark.parametrize("tag,N", BUILD_CASES)
+    def test_removed_columns_hold_positive_zeros(self, tag, N):
+        # U * 0.0 left -0.0 wherever U had a negative part; a direct build
+        # writes +0.0, as walsh_open does
+        quant = quantize_open(get_spec(tag), QuantizationConfig(N, (0.3, 0.7)))
+        removed = quant.open_map.matrix[:, quant.projector == 0.0]
+        assert removed.size and not np.any(removed)
+        assert not np.signbit(removed.real).any()
+        assert not np.signbit(removed.imag).any()
+
+    def test_unitary_is_built_on_demand(self, spec5):
+        quant = quantize_open(spec5, QuantizationConfig(25, (0.5, 0.5)))
+        assert [f.name for f in dataclasses.fields(quant)] == ["projector", "open_map"]
+        first, second = quant.unitary, quant.unitary
+        assert first.matrix is not second.matrix
+        assert np.array_equal(first.matrix, second.matrix)
+        assert (first.digest, first.keep, first.block_sizes, first.bloch) == (
+            quant.open_map.digest, quant.open_map.keep,
+            quant.open_map.block_sizes, quant.open_map.bloch)
+
+    def test_holds_one_dense_matrix(self, spec3):
+        # M plus the slices of one D3 block (N x N/3 each); the full-U
+        # build peaked at three N x N arrays
+        N = 972
+        quantize_open(spec3, QuantizationConfig(N, (0.3, 0.7)))  # FFT plans
+        tracemalloc.start()
+        try:
+            quant = quantize_open(spec3, QuantizationConfig(N, (0.3, 0.7)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert quant.open_map.matrix.nbytes == 16 * N * N
+        assert peak <= 2.25 * 16 * N * N
 
 
 # ---------------------------------------------------------------------------

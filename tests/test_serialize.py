@@ -145,6 +145,65 @@ class TestBinaryMatrix:
         assert sha256_file(a) == sha256_file(b)
 
 
+def interleaved_matrix_bytes(matrix) -> bytes:
+    """The file write_matrix wrote through a (cols, rows, 2) float array."""
+    M = np.asarray(matrix, dtype=complex)
+    rows, cols = M.shape
+    interleaved = np.empty((cols, rows, 2), dtype="<f8")
+    interleaved[:, :, 0] = M.T.real
+    interleaved[:, :, 1] = M.T.imag
+    return MAGIC + struct.pack("<QQ", rows, cols) + interleaved.tobytes()
+
+
+def special_matrix() -> np.ndarray:
+    """Signed zeros, NaN, infinities and a subnormal in both parts.
+
+    The parts are set in place: re + 1j * im would turn an infinite
+    imaginary part into a NaN real part and -0.0 into +0.0.
+    """
+    values = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 5e-324]
+    rng = np.random.default_rng(3)
+    M = np.empty((6, 8), dtype=complex)
+    M.real = rng.choice(values, size=M.shape)
+    M.imag = rng.choice(values, size=M.shape)
+    return M
+
+
+def bits(matrix) -> bytes:
+    """The complex128 bits of a matrix in row-major order."""
+    return np.ascontiguousarray(matrix, dtype=complex).tobytes()
+
+
+class TestMatrixWriterOracle:
+    """write_matrix writes one column-major complex128 copy; the bytes
+    must equal those of the interleaved float writer it replaced, and
+    read_matrix must give every bit of the input back."""
+
+    @pytest.mark.parametrize("view", [
+        lambda M: M,
+        lambda M: M[:, ::2],
+        lambda M: M.T,
+        lambda M: M[::-1, 1:7:3],
+        lambda M: M.real,
+        lambda M: np.asarray(M.real, dtype=np.float32),
+        lambda M: M.imag.astype(">f8"),
+    ], ids=["contiguous", "strided columns", "transposed", "reversed strided",
+            "real float64", "real float32", "big-endian float64"])
+    def test_bytes_match_interleaved_writer(self, tmp_path, view):
+        M = view(special_matrix())
+        path = write_matrix(tmp_path / "m.bin", M)
+        assert path.read_bytes() == interleaved_matrix_bytes(M)
+        back = read_matrix(path)
+        assert back.dtype == np.complex128 and back.shape == M.shape
+        assert bits(back) == bits(M)
+
+    def test_empty_matrix(self, tmp_path):
+        M = np.zeros((3, 0), dtype=complex)
+        path = write_matrix(tmp_path / "m.bin", M)
+        assert path.read_bytes() == interleaved_matrix_bytes(M)
+        assert read_matrix(path).shape == (3, 0)
+
+
 class TestCsvSchemas:
     def test_matrix_csv(self, tmp_path):
         path = write_matrix_csv(tmp_path / "m.csv",

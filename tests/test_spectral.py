@@ -355,6 +355,19 @@ class TestEffectiveHamiltonian:
         with pytest.raises(ValueError, match="at least one probe"):
             effective_hamiltonian(M, quasi.diagonal, [], 0.5)
 
+    def test_probe_square_must_be_finite(self, spec5):
+        # E(lam) divides by lam^2: 1e200 squared overflows, 1e100 does not
+        M = get_quantization("D5", 125).open_map
+        quasi = trapped_quasiprojector(spec5, QuantizationConfig(125), 2)
+        for radius in (1e200, 1.4e154):
+            with pytest.raises(ValueError, match="sqrt\\(float max\\)"):
+                effective_hamiltonian(M, quasi.diagonal, probe_ring(radius), 0.5)
+        with pytest.raises(ValueError, match="finite square"):
+            effective_hamiltonian(M, quasi.diagonal, [complex(1e308, 1e308)], 0.5)
+        report = effective_hamiltonian(M, quasi.diagonal, probe_ring(1e100), 0.5)
+        assert report.unmatched == 0
+        assert report.max_identity_rel_error <= 1e-8
+
     def test_singular_resolvent_guard(self):
         one = np.ones((1, 1), dtype=complex)
         with pytest.raises(SingularResolvent):
@@ -572,6 +585,8 @@ class TestKeptColumns:
         with pytest.raises(ValueError, match="m_max"):
             effective_hamiltonian(np.eye(4), np.ones(4), probe_ring(2.0), 1.5,
                                   m_max=13)
+        with pytest.raises(ValueError, match="finite square"):
+            effective_hamiltonian(np.eye(4), np.ones(4), probe_ring(1e200), 1.5)
 
 
 class TestMatchSpectra:
