@@ -38,7 +38,7 @@ from .classical import (
     thermo_report,
     validate_spec,
 )
-from .errors import DivisibilityError, NumericalError, ValidationError
+from .errors import DimensionGuard, DivisibilityError, NumericalError, ValidationError
 from .phasespace import (
     CoherentFrame,
     _validate_grid,
@@ -422,6 +422,10 @@ def cmd_walsh(args, out: Path):
 def cmd_effective(args, out: Path):
     if args.probe_count < 1:
         raise ValidationError(f"need at least one probe, got {args.probe_count}")
+    # each probe costs one full N x N slogdet, so the count is guarded too
+    if args.probe_count > DENSE_GUARD:
+        raise DimensionGuard(f"probe count {args.probe_count} exceeds the "
+                             f"dense guard {DENSE_GUARD}")
     _check_m_max(args.m_max)
     probes = [args.probe_radius * np.exp(2j * np.pi * j / args.probe_count)
               for j in range(args.probe_count)]

@@ -1,12 +1,12 @@
 """Stable on-disk formats: JSON reports, CSV tables, binary matrices, PGM.
 
 All text output is UTF-8 with '.' decimals and LF newlines regardless of
-locale; floats print as %.17g (shortest lossless round-trip for doubles
-is not needed, 17 significant digits always suffice).  JSON is emitted
-with sorted keys and two-space indent so identical payloads are
-byte-identical.  Exact rationals serialize as {"num": p, "den": q}.
-JSON is strict: a non-finite float is written as the string "inf",
-"-inf" or "nan", never as a bare NaN/Infinity token.
+locale.  CSV floats print as %.17g (17 significant digits always
+round-trip).  JSON is emitted with sorted keys and two-space indent so
+identical payloads are byte-identical, and its floats print as Python's
+shortest round-trip repr.  Exact rationals serialize as
+{"num": p, "den": q}.  JSON is strict: a non-finite float is written as
+the string "inf", "-inf" or "nan", never as a bare NaN/Infinity token.
 
 Matrix files are binary: 8-byte magic "OQMAPv1\\0", little-endian u64
 row and column counts, then the entries column-major as interleaved
@@ -72,6 +72,17 @@ def json_ready(obj):
     scalars and arrays their Python equivalents, dataclasses dicts.
     Non-finite floats become the strings "inf", "-inf" and "nan".
     """
+    # the plain types of a report's bulk first, by exact type: one lookup
+    # per value instead of the isinstance chain below
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else fmt_float(obj)
+    if kind is int or kind is str or kind is bool or obj is None:
+        return obj
+    if kind is list or kind is tuple:
+        return [json_ready(x) for x in obj]
+    if kind is dict:
+        return {str(k): json_ready(v) for k, v in obj.items()}
     if is_dataclass(obj) and not isinstance(obj, type):
         return json_ready(asdict(obj))
     if isinstance(obj, Fraction):
@@ -79,11 +90,12 @@ def json_ready(obj):
     if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
         return {"re": json_ready(float(obj.real)),
                 "im": json_ready(float(obj.imag))}
+    # np.floating stays here: longdouble.item() returns a longdouble
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
         return value if math.isfinite(value) else fmt_float(value)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, np.generic):
+        return json_ready(obj.item())
     if isinstance(obj, np.ndarray):
         return [json_ready(x) for x in obj.tolist()]
     if isinstance(obj, dict):
@@ -100,10 +112,37 @@ def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
     return path
 
 
+def _json_text(obj, pad: str = "") -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    gives for a json_ready value, floats as float.__repr__."""
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        # finite floats, the bulk of a report, inline without a call
+        items = [float.__repr__(x) if type(x) is float and math.isfinite(x)
+                 else _json_text(x, inner) for x in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [json.dumps(key) + ": " + _json_text(obj[key], inner)
+                 for key in sorted(obj)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    # str, int, bool and None keep json's escaping; other types raise TypeError
+    return json.dumps(obj, allow_nan=False)
+
+
 def write_json(path: PathLike, payload) -> Path:
     """Strict JSON: a NaN or Infinity that json_ready missed raises."""
-    return write_lines(path, [json.dumps(json_ready(payload), sort_keys=True,
-                                         indent=2, allow_nan=False)])
+    return write_lines(path, [_json_text(json_ready(payload))])
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +196,16 @@ def write_intervals_csv(path: PathLike, intervals: Intervals) -> Path:
     """Columns (lo_num, lo_den, hi_num, hi_den), each endpoint in lowest
     terms: one gcd against the common denominator per endpoint."""
     den = intervals.den
+    # the text of den // g, per gcd: about m + 1 distinct gcds divide Q^m
+    reduced = {}
     lines = ["lo_num,lo_den,hi_num,hi_den"]
     for lo, hi in zip(intervals.los, intervals.his):
         g, h = math.gcd(lo, den), math.gcd(hi, den)
-        lines.append(f"{lo // g},{den // g},{hi // h},{den // h}")
+        if g not in reduced:
+            reduced[g] = str(den // g)
+        if h not in reduced:
+            reduced[h] = str(den // h)
+        lines.append(f"{lo // g},{reduced[g]},{hi // h},{reduced[h]}")
     return write_lines(path, lines)
 
 

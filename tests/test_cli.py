@@ -442,6 +442,12 @@ class TestEffective:
         assert run([*EFFECTIVE, "--m-max", "13", "--outdir", tmp_path]) == 2
         assert run([*EFFECTIVE, "--m-max", "0", "--outdir", tmp_path]) == 2
 
+    def test_probe_count_names_the_guard(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+        assert run([*EFFECTIVE, "--probe-count", "5001",
+                    "--outdir", tmp_path]) == 2
+        assert "dense guard 5000" in capsys.readouterr().err
+
 
 class TestHusimi:
     def test_top_mode_report(self, tmp_path):
@@ -552,6 +558,8 @@ HUSIMI = ["husimi", *D3, "--N", "27", "--level", "2"]
     ["effective", *D5, "--N", "125", "--level", "2", "--radius", "nan"],
     [*EFFECTIVE, "--probe-count", "0"],
     [*EFFECTIVE, "--probe-count", "-3"],
+    # every probe is one N x N slogdet: the count is held to the dense guard
+    [*EFFECTIVE, "--probe-count", "5001"],
     [*EFFECTIVE, "--probe-radius", "nan"],
     # 0 divided by zero in symmetric_spec; 1 and -1 leave one rectangle or none
     ["walsh", "--keep", "0", "--word-length", "1", "--branches", "0"],

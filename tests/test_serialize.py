@@ -8,10 +8,12 @@ so these tests pin exact bytes, not just values.
 import json
 import math
 import struct
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oqmap.serialize
 from oqmap import HusimiField, Intervals, escape_report, validate_spec
@@ -101,6 +103,114 @@ class TestJsonReady:
             '}\n'
         )
         assert path.read_text() == want
+
+
+def old_json_ready(obj):
+    """The isinstance chain json_ready used before its exact-type dispatch."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return old_json_ready(asdict(obj))
+    if isinstance(obj, Fraction):
+        return fraction_to_json(obj)
+    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
+        return {"re": old_json_ready(float(obj.real)),
+                "im": old_json_ready(float(obj.imag))}
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else fmt_float(value)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [old_json_ready(x) for x in obj.tolist()]
+    if isinstance(obj, dict):
+        return {str(k): old_json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [old_json_ready(x) for x in obj]
+    return obj
+
+
+def old_json_bytes(payload) -> bytes:
+    """Oracle: the file write_json wrote through json.dumps."""
+    text = json.dumps(old_json_ready(payload), sort_keys=True, indent=2,
+                      allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+@dataclass
+class Sample:
+    label: str
+    weight: Fraction
+    roots: tuple
+
+
+def every_type_payload():
+    return {
+        "empty": {"list": [], "dict": {}, "tuple": (), "array": np.zeros(0)},
+        "nested": [[[]], [{}], {"deep": [{"deeper": [1, [2.5, [None]]]}]}],
+        "tuple": (1, 2.0, "three", (4,)),
+        "größe ✓": "naïve \u00e9 \U0001F600 \"quoted\" back\\slash\n\ttab \x00",
+        "keys": {10: "ten", 3: "three", 2.5: "float key", "": "empty key"},
+        "ints": [0, -1, 2**64 + 1, -(3**80), 10**300],
+        "bools": [True, False],
+        "none": None,
+        "floats": [0.1, -0.0, 0.0, 1e16, 1e22, 1e-7, 123456789.0, 5e-324,
+                   2.2250738585072014e-308, 1.7976931348623157e308, -1 / 3],
+        "non_finite": [math.inf, -math.inf, math.nan],
+        "numpy_scalars": [np.float64(0.1), np.float32(0.1), np.float16(-2.5),
+                          np.longdouble(0.5), np.int64(-7), np.uint8(200),
+                          np.float64(-np.inf), np.float32(np.nan),
+                          np.complex64(1 - 2j), np.clongdouble(0.25 + 4j)],
+        "arrays": [np.array([[1.0, np.nan], [-0.0, 2.5]]), np.arange(3),
+                   np.array([1j, complex(np.inf, -0.0)])],
+        "complex": [1 + 2j, complex(math.inf, math.nan), -0j],
+        "fraction": Fraction(-7, 3),
+        "dataclass": Sample("s", Fraction(1, 3), (1 + 1j, 0.5)),
+    }
+
+
+plain_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=6)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=6)),
+    max_leaves=40)
+
+
+class TestJsonWriterOracle:
+    """write_json dispatches on exact types and emits the text itself; its
+    bytes must equal those of json.dumps over the old isinstance chain."""
+
+    def test_every_accepted_type(self, tmp_path):
+        payload = every_type_payload()
+        path = write_json(tmp_path / "x.json", payload)
+        assert path.read_bytes() == old_json_bytes(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plain_json)
+    def test_plain_json_payload(self, tmp_path_factory, payload):
+        path = write_json(tmp_path_factory.mktemp("json") / "x.json",
+                          {"payload": payload})
+        assert path.read_bytes() == old_json_bytes({"payload": payload})
+
+    @pytest.mark.parametrize("value", [
+        math.inf, -math.inf, math.nan, [1.5, math.nan], {"a": {"b": -math.inf}},
+    ], ids=["inf", "-inf", "nan", "nan in list", "-inf in dict"])
+    def test_bare_non_finite_raises(self, tmp_path, monkeypatch, value):
+        monkeypatch.setattr(oqmap.serialize, "json_ready", lambda obj: obj)
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", value)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_numpy_bool_and_str(self, tmp_path):
+        # the old chain passed these through, and json.dumps refused them
+        out = json_ready({"t": np.bool_(True), "s": np.str_("a")})
+        assert out == {"t": True, "s": "a"}
+        assert type(out["t"]) is bool and type(out["s"]) is str
+        path = write_json(tmp_path / "x.json", [np.bool_(False)])
+        assert path.read_text() == "[\n  false\n]\n"
+
+    def test_unknown_type_raises(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "x.json", {"s": {1, 2}})
 
 
 class TestBinaryMatrix:
