@@ -81,6 +81,22 @@ Rational = Union[Fraction, int, str]
 
 # Hard cap on how many cover intervals any operation may enumerate.
 INTERVAL_GUARD = 10**7
+# Decimal digits past which Python refuses to convert an int to or from
+# text by default, so no exact numerator that passes it could be written.
+_DIGIT_GUARD = 4300
+
+
+def _power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether base ** exponent > bound, for ints base >= 0, exponent >= 0
+    and bound >= 1, with bounded work for any exponent.
+
+    base ** exponent >= 2 ** (exponent * (bits(base) - 1)), so once that
+    exponent reaches bits(bound) the power exceeds the bound and is never
+    formed; below it the power has fewer than 2 bits(bound) bits.
+    """
+    if exponent * (base.bit_length() - 1) >= bound.bit_length():
+        return True
+    return base ** exponent > bound
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +270,18 @@ def _refine(spec: BakerSpec, level: int) -> Tuple[Tuple[Fraction, ...],
     numerators over Q^m: they are returned as :class:`Intervals`, not
     reduced to lowest terms.
     """
-    count = len(spec.keep) ** level
-    if count > INTERVAL_GUARD:
+    n = len(spec.keep)
+    if _power_exceeds(n, level, INTERVAL_GUARD):
         raise HorizonTooLarge(
-            f"{level} refinement levels need {count} intervals "
+            f"{level} refinement levels need {n}^{level} intervals "
             f"(guard {INTERVAL_GUARD})")
     Q = lcm(*(p.denominator for p in spec.partition))
+    # a single kept symbol passes the interval guard at any level, but the
+    # numerators over Q^level still grow with it
+    if _power_exceeds(Q, level, 10 ** _DIGIT_GUARD - 1):
+        raise HorizonTooLarge(
+            f"{level} refinement levels need numerators over {Q}^{level}, "
+            f"past {_DIGIT_GUARD} decimal digits")
     symbols = [(int(Q * spec.partition[s]), int(Q * spec.lengths[s]))
                for s in spec.keep]
     los, his, den = [0], [1], 1
@@ -347,11 +369,11 @@ def trapped_cover(spec: BakerSpec, level: int, tail: str = "K") -> TrappedCover:
         raise ValueError(f"tail must be K, K_minus or K_plus, got {tail!r}")
     # the K cover conceptually holds |keep|^(2m) rectangles; guard on that
     # (the refinement guards the |keep|^m strips)
-    if tail == "K":
-        count = len(spec.keep) ** (2 * level)
-        if count > INTERVAL_GUARD:
-            raise HorizonTooLarge(
-                f"cover would hold {count} rectangles (guard {INTERVAL_GUARD})")
+    n = len(spec.keep)
+    if tail == "K" and _power_exceeds(n, 2 * level, INTERVAL_GUARD):
+        raise HorizonTooLarge(
+            f"cover would hold {n}^{2 * level} rectangles "
+            f"(guard {INTERVAL_GUARD})")
 
     alive, intervals = _refine(spec, level)
     length = alive[-1]

@@ -22,6 +22,7 @@ import argparse
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -31,6 +32,7 @@ import numpy as np
 from . import __version__
 from .classical import (
     INTERVAL_GUARD,
+    _DIGIT_GUARD,
     BakerSpec,
     cantor_dimension,
     escape_report,
@@ -97,9 +99,16 @@ def parse_rational(token: str, allow_decimal: bool) -> Fraction:
                 raise ValidationError(
                     f"decimal token {token!r} not accepted here; "
                     f"use an exact p/q rational")
+            # the exact value is digits * 10^exponent: bound both of its
+            # parts before Fraction forms 10^|exponent|
+            _, digits, exponent = Decimal(token).as_tuple()
+            if max(len(digits) + max(exponent, 0), 1 - exponent) > _DIGIT_GUARD:
+                raise ValidationError(
+                    f"cannot parse rational token {token!r}: its exact "
+                    f"value needs more than {_DIGIT_GUARD} digits")
             return Fraction(token)  # exact decimal, not a binary float
         return Fraction(int(token))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise ValidationError(f"cannot parse rational token {token!r}") from exc
 
 
@@ -523,13 +532,12 @@ def cmd_husimi(args, out: Path):
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, partition: bool = True) -> None:
-    if partition:
-        p.add_argument("--partition", required=True,
-                       help="comma-separated partition points 0,...,1 "
-                            "as p/q rationals")
-        p.add_argument("--keep", required=True,
-                       help="comma-separated kept rectangle indices")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--partition", required=True,
+                   help="comma-separated partition points 0,...,1 "
+                        "as p/q rationals")
+    p.add_argument("--keep", required=True,
+                   help="comma-separated kept rectangle indices")
     p.add_argument("--outdir", default=".", help="output directory")
 
 

@@ -11,6 +11,27 @@ Two families matter to callers (and fix the CLI exit codes):
   does not.
 """
 
+__all__ = [
+    "OQMapError",
+    "ValidationError",
+    "NumericalError",
+    "NonMonotonePartition",
+    "EmptyOrFullKeepSet",
+    "EndpointMismatch",
+    "OutOfDomain",
+    "HorizonTooLarge",
+    "PowerIterationDivergence",
+    "DivisibilityError",
+    "DimensionGuard",
+    "LengthMismatch",
+    "SolverFailure",
+    "InsufficientSamples",
+    "CoverTooFine",
+    "ProbeInsideBulkSpectrum",
+    "SingularResolvent",
+    "UnnormalizedInput",
+]
+
 
 class OQMapError(Exception):
     """Base class for all errors raised by this package."""

@@ -49,7 +49,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classical import BakerSpec, spec_digest, symmetric_spec
+from .classical import BakerSpec, _power_exceeds, spec_digest, symmetric_spec
 from .errors import (
     DimensionGuard,
     DivisibilityError,
@@ -59,7 +59,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DENSE_GUARD",
     "QuantizationConfig",
     "QuantizedMap",
     "OpenQuantization",
@@ -253,9 +252,7 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     """
     if k < 1:
         raise ValueError(f"word length k must be >= 1, got {k}")
-    # D^k >= 2^k passes the guard once k reaches its bit length, so the
-    # power is never taken past that: bounded work for any D and k
-    if D >= 2 and D ** min(k, DENSE_GUARD.bit_length()) > DENSE_GUARD:
+    if D >= 2 and _power_exceeds(D, k, DENSE_GUARD):
         raise DimensionGuard(
             f"D^k exceeds the dense guard {DENSE_GUARD} at D={D}, k={k}")
     spec = symmetric_spec(D, keep)  # validates D/keep and gives the digest

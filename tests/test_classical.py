@@ -311,6 +311,9 @@ class TestTrappedCover:
     def test_cover_guard(self, spec3):
         with pytest.raises(HorizonTooLarge):
             trapped_cover(spec3, 12, "K")  # 2^24 rectangles
+        # 2^(2 10^6) has 602060 digits: the guard never forms it
+        with pytest.raises(HorizonTooLarge, match=r"2\^2000000 rectangles"):
+            trapped_cover(spec3, 10 ** 6, "K")
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +358,29 @@ class TestEscapeReport:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_interval_guard_never_forms_the_power(self, spec3):
+        with pytest.raises(HorizonTooLarge, match=r"2\^1000000 intervals"):
+            escape_report(spec3, 10 ** 6)
+
+    def test_one_symbol_level_bounded_by_digits(self, monkeypatch):
+        # 1^level intervals pass the interval guard at any level, but the
+        # numerators over 2^level must stay within 4300 decimal digits:
+        # 2^14284 has 4300, 2^14285 has 4301. A Fraction is built only
+        # inside the loop, so the patched one shows the loop was entered.
+        spec = validate_spec(("0", "1/2", "1"), (0,))
+
+        def loop_entered(*args):
+            raise AssertionError("refinement loop entered")
+
+        monkeypatch.setattr(classical, "Fraction", loop_entered)
+        for level in (14285, 32000, 10 ** 8):
+            with pytest.raises(HorizonTooLarge, match="4300 decimal digits"):
+                escape_report(spec, level)
+        with pytest.raises(HorizonTooLarge, match="4300 decimal digits"):
+            trapped_cover(spec, 10 ** 8, "K")
+        with pytest.raises(AssertionError, match="loop entered"):
+            escape_report(spec, 14284)
 
     def test_survivors_stay_integer_numerators_in_memory(self, spec3):
         # 2^15 survivor strips as ints over 3^15; one Fraction per endpoint
@@ -481,6 +507,14 @@ class TestIntegerRefinement:
         assert_matches_fractions(spec3, 1)
         with pytest.raises(AssertionError):
             assert_matches_fractions(spec3, 2)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5000, 10**7, 10**40])
+def test_power_exceeds_matches_the_power(bound):
+    for base in range(6):
+        for exponent in range(160):
+            assert (classical._power_exceeds(base, exponent, bound)
+                    == (base ** exponent > bound)), (base, exponent)
 
 
 @settings(max_examples=20, deadline=None)

@@ -17,6 +17,7 @@ import pytest
 import oqmap.cli
 import oqmap.quantize
 import oqmap.spectral
+from oqmap import classical, errors, phasespace, quantize, spectral
 from oqmap import (
     QuantizationConfig,
     apply_diagonal_phases,
@@ -88,6 +89,17 @@ class TestParsing:
             parse_rational("x", False)
         with pytest.raises(ValidationError):
             parse_rational("1/0", False)
+
+    def test_decimal_digits_bounded(self):
+        # the exact value of a decimal token is held to 4300 digits, in
+        # numerator and denominator, before Fraction forms 10^|exponent|
+        assert parse_rational("1e-4299", True) == Fraction(1, 10 ** 4299)
+        assert parse_rational("1e4299", True) == 10 ** 4299
+        for token in ("1e-5000", "1e-4300", "1e4300", "1e-1000000000"):
+            with pytest.raises(ValidationError, match="4300 digits"):
+                parse_rational(token, True)
+        with pytest.raises(ValidationError, match="cannot parse"):
+            parse_rational("inf.", True)
 
     def test_keep_and_bloch(self):
         assert parse_keep("0,2") == (0, 2)
@@ -656,6 +668,18 @@ def test_manifest_lists_every_output(tmp_path, name, argv):
     for fname, entry in listed.items():
         assert entry["sha256"] == sha256_file(tmp_path / fname)
         assert entry["bytes"] == (tmp_path / fname).stat().st_size
+
+
+def test_package_reexports_each_module_all():
+    modules = (classical, errors, phasespace, quantize, spectral)
+    names = oqmap.__all__
+    assert names == ["__version__", *(n for m in modules for n in m.__all__)]
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(oqmap, name)
+            assert obj is getattr(module, name)
+            assert obj.__module__ == module.__name__, name
 
 
 def test_import_loads_no_scipy():
