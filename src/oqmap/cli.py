@@ -73,6 +73,7 @@ from .spectral import (
     _check_nu,
     _check_probes,
     _check_radii,
+    _qr_bound,
     count_profile,
     effective_hamiltonian,
     eigen_decompose,
@@ -178,6 +179,10 @@ def parse_float_grid(text: str) -> np.ndarray:
         raise ValidationError(f"cannot parse grid {text!r}") from exc
     if not 1 <= count <= INTERVAL_GUARD:
         raise ValidationError(f"grid needs 1..{INTERVAL_GUARD} points, got {count}")
+    # linspace steps by hi - lo, which can overflow between finite ends
+    if not math.isfinite(hi - lo):
+        raise ValidationError(
+            f"grid {text!r}: its span hi - lo is not a finite float")
     return np.linspace(lo, hi, count)
 
 
@@ -393,20 +398,26 @@ def cmd_weyl_fit(args, out: Path):
 def cmd_walsh(args, out: Path):
     if args.threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {args.threshold}")
-    keep = parse_keep(args.keep)
-    model = walsh_open(args.branches, keep, args.word_length)
-    qmap, omega_tilde = model.open_map, model.omega_tilde
-    keep, dimension = model.keep, model.dimension
-    del model
+    model = walsh_open(args.branches, parse_keep(args.keep), args.word_length)
+    block, dimension = model.core_block, model.dimension
     if args.phases_seed is not None:
-        # this command owns the only reference to the map, so it rotates it
-        # in place, with the operands of apply_diagonal_phases in their order
-        np.multiply(_phase_factors(dimension, seed=args.phases_seed)[:, None],
-                    qmap.matrix, out=qmap.matrix)
-    spectrum = eigen_decompose(qmap)
-    moduli = np.abs(spectrum.eigenvalues)
+        # the rows K of diag(e^{i phi}) M, from the same N draws, with the
+        # operands of apply_diagonal_phases in their order
+        phases = _phase_factors(dimension, seed=args.phases_seed)
+        block = phases[model.core][:, None] * block
+    # M's spectrum is its core's and N - n^k exact zeros, which sort last
+    # and stably, as eigen_decompose(M) orders them
+    spectrum = eigen_decompose(block)
+    eigenvalues = np.concatenate([spectrum.eigenvalues, np.zeros(
+        dimension - len(block), dtype=spectrum.eigenvalues.dtype)])
+    moduli = np.abs(eigenvalues)
+    keep, omega_tilde = model.keep, model.omega_tilde
     n = len(keep)
     r_c = float(abs(np.linalg.det(omega_tilde))) ** (1.0 / n)
+    # the bound on the full M: each of Omega_D's D columns is N/D columns
+    # of M, in other rows, and the phases have unit modulus
+    backward_error = _qr_bound(dimension, math.sqrt(dimension // args.branches)
+                               * float(np.linalg.norm(model.omega)))
     payload = {
         "branches": args.branches,
         "keep": list(keep),
@@ -419,13 +430,13 @@ def cmd_walsh(args, out: Path):
         "radius_bound": n / math.sqrt(args.branches),
         "r_c": r_c,
         "omega_tilde_eigenvalues": list(np.linalg.eigvals(omega_tilde)),
-        "backward_error": spectrum.backward_error,
+        "backward_error": backward_error,
     }
     outputs = [
-        write_spectrum_csv(out / "walsh_spectrum.csv", spectrum.eigenvalues),
+        write_spectrum_csv(out / "walsh_spectrum.csv", eigenvalues),
         write_json(out / "walsh.json", payload),
     ]
-    return outputs, qmap.digest, ()
+    return outputs, model.digest, ()
 
 
 def cmd_effective(args, out: Path):

@@ -24,17 +24,21 @@ digit and recycles the leading digit through the D x D matrix Omega_D
     e_{d0} ox e_{d1} ox ... ox e_{d_{k-1}}
         |->  e_{d1} ox ... ox e_{d_{k-1}} ox (Omega_D e_{d0}).
 
-As in the standard map, the dense matrix is M = apply(I), here built
-from this digit-shift apply at O(D N^2).  It makes
-M^k = Omega_D^{otimes k} exactly.  That identity is asserted at
-construction on all N^2 entries, with M^k formed by k-1 further
-applications at O(k D N^2).  Build and check run one column block at a
-time (the words sharing their leading k // 2 digits), so they hold one
-N x N matrix plus O(N D^(k - k//2)).  The identity reduces the nontrivial
-spectrum to the keep x keep sub-block OmegaTilde_D: n^k nonzero
-eigenvalues whose moduli are products |mu_1|^{a/k} |mu_2|^{(k-a)/k} of
-the sub-block eigenvalue moduli, hence a k-independent spectral radius
-and a counting step at r_c = |det OmegaTilde_D|^{1/n}.
+k applications make M^k = Omega_D^{otimes k} exactly.  That identity is
+asserted at construction on all N^2 entries of M = apply(I), one column
+block at a time (the words sharing their leading k // 2 digits), at
+O(k D N^2) and O(N D^(k - k//2)) memory; no block is kept.  As in the
+standard map, the dense M is derived from the apply only on demand.
+
+The words of kept digits, n^k of them, form the exact core K.  M maps no
+other word into K, and M^k = Omega_D^{otimes k} vanishes on every other
+column, so over (the rest, K) M is block triangular with a nilpotent
+diagonal block, and its spectrum is that of M[K, K] plus N - n^k exact
+zeros.  M[K, K] is itself the digit-shift apply of the keep x keep
+sub-block OmegaTilde_D on (C^n)^{otimes k}, built without M.  Its
+eigenvalues have moduli that are products |mu_1|^{a/k} |mu_2|^{(k-a)/k}
+of the sub-block eigenvalue moduli, hence a k-independent spectral
+radius and a counting step at r_c = |det OmegaTilde_D|^{1/n}.
 
 Bloch phases: the plain DFT (theta = (0,0)) matches the displayed
 quantization; the antiperiodic choice (1/2, 1/2) is the convention under
@@ -191,18 +195,55 @@ def quantize_open(spec: BakerSpec, config: QuantizationConfig) -> OpenQuantizati
 
 @dataclass(frozen=True)
 class WalshModel:
-    """Walsh-quantized open baker on (C^D)^{otimes k}."""
+    """Walsh-quantized open baker on (C^D)^{otimes k}.
+
+    No N x N matrix is held.  .open_map builds M = apply(I), D^k x D^k,
+    on each access.  .core lists the n^k words of kept digits, K, and
+    .core_block is M[K, K], the same digit-shift apply with OmegaTilde_D
+    on (C^n)^{otimes k}, built without M.
+    """
 
     branch_count: int
     keep: Tuple[int, ...]
     word_length: int
     omega: np.ndarray        # D x D, inverse DFT with removed columns zeroed
     omega_tilde: np.ndarray  # n x n keep-rows x keep-columns sub-block
-    open_map: QuantizedMap   # D^k x D^k
+    digest: str
 
     @property
     def dimension(self) -> int:
         return self.branch_count ** self.word_length
+
+    @property
+    def open_map(self) -> QuantizedMap:
+        k, N = self.word_length, self.dimension
+        width = self.branch_count ** (k - k // 2)
+        M = np.empty((N, N), dtype=complex)
+        for b in range(N // width):
+            # np.eye(N, width, -b * width) is I[:, b * width:(b + 1) * width]
+            M[:, b * width:(b + 1) * width] = _walsh_apply(
+                self.omega, np.eye(N, width, -b * width, dtype=complex))
+        # BLAS leaves -0.0 where Omega meets the identity's zeros; adding
+        # +0.0 turns them into +0.0, so M has the bits of a direct scatter
+        M += 0.0
+        return QuantizedMap(M, "open_walsh", self.digest, self.keep, None,
+                            (0.0, 0.0))
+
+    @property
+    def core(self) -> np.ndarray:
+        """K, ascending: the row indices of the words of kept digits."""
+        words = np.zeros(1, dtype=int)
+        for _ in range(self.word_length):
+            words = (words[:, None] * self.branch_count + self.keep).ravel()
+        return words
+
+    @property
+    def core_block(self) -> np.ndarray:
+        """M[K, K]: the keep-digit words map among themselves by OmegaTilde_D."""
+        n = len(self.keep) ** self.word_length
+        block = _walsh_apply(self.omega_tilde, np.eye(n, dtype=complex))
+        block += 0.0  # +0.0 for BLAS's -0.0, as in open_map
+        return block
 
 
 def _walsh_omega(D: int, keep: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -243,12 +284,13 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     touch every digit once, so M^k = Omega_D^{otimes k} must hold to 1e-12
     in max norm over all N^2 entries (checked).
 
-    Both run in one loop over column blocks.  Block b holds the columns
-    whose leading t = k // 2 digits spell b, D^(k-t) of them.  Its part of
-    M is apply of that slice of I; k-1 further applications give its part
-    of M^k, which must equal kron(head_b, Omega_D^{otimes (k-t)}), head_b
-    being the kron of Omega_D's columns for b's digits.  The work is
-    O(k D N^2) and the memory one N x N matrix plus O(N D^(k-t)).
+    The check runs one column block at a time and keeps no block.  Block b
+    holds the columns whose leading t = k // 2 digits spell b, D^(k-t) of
+    them.  Its part of M is apply of that slice of I; k-1 further
+    applications give its part of M^k, which must equal
+    kron(head_b, Omega_D^{otimes (k-t)}), head_b being the kron of
+    Omega_D's columns for b's digits.  The work is O(k D N^2) and the
+    memory O(N D^(k-t)); the model derives M only when .open_map is read.
     """
     if k < 1:
         raise ValueError(f"word length k must be >= 1, got {k}")
@@ -257,7 +299,6 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
             f"D^k exceeds the dense guard {DENSE_GUARD} at D={D}, k={k}")
     spec = symmetric_spec(D, keep)  # validates D/keep and gives the digest
     keep_t = spec.keep
-    N = D ** k
 
     omega, omega_tilde = _walsh_omega(D, keep_t)
 
@@ -266,17 +307,17 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     tail = omega
     for _ in range(k - t - 1):
         tail = np.kron(tail, omega)
-    M = np.empty((N, N), dtype=complex)
-    defect = 0.0
+    # one slice of I serves every block, its diagonal set and then
+    # cleared: a fresh slice per block lets the allocator trim and refault
+    # the heap, about 10x the page faults at D3 k=7
+    identity = np.zeros((D ** k, width), dtype=complex)
     diagonal = np.arange(width)
+    defect = 0.0
     for b in range(D ** t):
-        identity = np.zeros((N, width), dtype=complex)
-        identity[b * width + diagonal, diagonal] = 1.0
+        rows = b * width + diagonal
+        identity[rows, diagonal] = 1.0
         block = _walsh_apply(omega, identity)
-        # BLAS leaves -0.0 where Omega meets the identity's zeros; adding
-        # +0.0 turns them into +0.0, so M has the bits of a direct scatter
-        block += 0.0
-        M[:, b * width:(b + 1) * width] = block
+        identity[rows, diagonal] = 0.0
         for _ in range(k - 1):
             block = _walsh_apply(omega, block)
         head = np.ones(1)
@@ -288,8 +329,7 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     if not defect <= 1e-12:
         raise SolverFailure(f"Walsh power identity violated: max defect {defect:.3e}")
 
-    qmap = QuantizedMap(M, "open_walsh", spec_digest(spec), keep_t, None, (0.0, 0.0))
-    return WalshModel(D, keep_t, k, omega, omega_tilde, qmap)
+    return WalshModel(D, keep_t, k, omega, omega_tilde, spec_digest(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,12 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
+def _qr_bound(N: int, frobenius: float) -> float:
+    """The a priori backward error bound 4 N eps ||M||_F of QR on an
+    N x N matrix M with Frobenius norm frobenius."""
+    return 4.0 * N * np.finfo(float).eps * frobenius
+
+
 def _core(M: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
     """The exact core of M and the sweeps that deflate everything else.
 
@@ -168,7 +174,7 @@ def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
     N = M.shape[0]
     if N > DENSE_GUARD:
         raise DimensionGuard(f"N={N} exceeds dense eigensolver guard {DENSE_GUARD}")
-    bound = 4.0 * N * np.finfo(float).eps * float(np.linalg.norm(M, "fro"))
+    bound = _qr_bound(N, float(np.linalg.norm(M, "fro")))
     # LAPACK refuses non-finite input; the dropped part must not let one by
     if not math.isfinite(bound):
         raise SolverFailure("eigensolver input has a non-finite entry or norm")

@@ -6,6 +6,7 @@ share them without recomputation.  Cached arrays are shared by reference;
 tests must treat them as read-only.
 """
 
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,6 +17,7 @@ import oqmap
 from oqmap import (
     BakerSpec,
     QuantizationConfig,
+    WalshModel,
     eigen_decompose,
     quantize_open,
     symmetric_spec,
@@ -103,6 +105,24 @@ def quantization_cache():
 @pytest.fixture(scope="session")
 def open_spectrum_cache():
     return get_open_spectrum
+
+
+def use_removed_digit_core(monkeypatch):
+    """Mutant: WalshModel.core lists the words of the removed digits, and
+    .core_block is M's block on them, which is zero because Omega_D zeroes
+    the removed columns."""
+    kept_words = WalshModel.core.fget
+
+    def core(model):
+        removed = tuple(d for d in range(model.branch_count)
+                        if d not in model.keep)
+        return kept_words(dataclasses.replace(model, keep=removed))
+
+    def core_block(model):
+        return model.open_map.matrix[np.ix_(model.core, model.core)]
+
+    monkeypatch.setattr(WalshModel, "core", property(core))
+    monkeypatch.setattr(WalshModel, "core_block", property(core_block))
 
 
 def fraction_intervals(intervals) -> tuple:

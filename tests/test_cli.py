@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from oqmap import classical, errors, phasespace, quantize, spectral
 from oqmap import (
     QuantizationConfig,
     apply_diagonal_phases,
+    eigen_decompose,
     quantize_open,
     symmetric_spec,
     walsh_open,
@@ -37,8 +39,9 @@ from oqmap.cli import (
 )
 from oqmap.classical import INTERVAL_GUARD
 from oqmap.errors import NumericalError, ValidationError
-from oqmap.serialize import read_matrix, sha256_file
+from oqmap.serialize import read_matrix, sha256_file, write_spectrum_csv
 
+from conftest import use_removed_digit_core
 from test_acceptance import CLI_RUNS
 
 D3 = ["--partition", "0,1/3,2/3,1", "--keep", "0,2"]
@@ -220,6 +223,17 @@ class TestThermo:
         assert s in err and "widths" in err
         assert not any(tmp_path.iterdir())
 
+    def test_s_grid_span_overflow_exits_2(self, tmp_path, capsys):
+        # both ends are finite, but linspace's step hi - lo is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["thermo", *D3, "--s-grid=-1e308:1e308:2",
+                        "--outdir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert "'-1e308:1e308:2'" in err and "finite" in err
+        assert "nan" not in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestEscape:
     def test_exact_volumes(self, tmp_path):
@@ -351,6 +365,34 @@ class TestWeylFit:
                     "--outdir", tmp_path]) == 2
 
 
+# the four benchmark specs at small k, and D4 keep (0, 2): its OmegaTilde
+# is rank one, so the core's eigenvalues reach down to rounding level,
+# just above the N - n^k exact zeros in the sort
+WALSH_ORACLE_CASES = [
+    (3, (0, 2), 4), (4, (0, 1, 3), 3), (6, (1, 4), 3), (6, (0, 2, 4), 3),
+    (4, (0, 2), 3), (4, (0, 2), 5),
+]
+
+
+def check_walsh_against_dense(out, D, keep, k, seed):
+    """The walsh command against the dense path, eigen_decompose of the
+    (phased) open map: identical spectrum CSV bytes, and the backward
+    error bound within 1e-14 relative."""
+    argv = ["walsh", "--branches", D, "--keep", ",".join(map(str, keep)),
+            "--word-length", k, "--outdir", out / "cli"]
+    qmap = walsh_open(D, keep, k).open_map
+    if seed is not None:
+        argv += ["--phases-seed", seed]
+        qmap = apply_diagonal_phases(qmap, seed=seed)
+    assert run(argv) == 0
+    dense = eigen_decompose(qmap)
+    want = write_spectrum_csv(out / "dense_spectrum.csv", dense.eigenvalues)
+    assert (out / "cli" / "walsh_spectrum.csv").read_bytes() == \
+        want.read_bytes()
+    got = load(out / "cli" / "walsh.json")["backward_error"]
+    assert abs(got - dense.backward_error) <= 1e-14 * dense.backward_error
+
+
 class TestWalsh:
     def test_count_law_and_radius(self, tmp_path):
         assert run(["walsh", "--branches", "3", "--keep", "0,2",
@@ -391,9 +433,9 @@ class TestWalsh:
         assert run(["walsh", "--branches", "3", "--keep", "0,2",
                     "--word-length", "8", "--outdir", tmp_path]) == 2
 
-    def test_seeded_run_holds_one_dense_matrix(self, tmp_path):
-        # the seeded map is rotated in place and the eigensolve copies only
-        # its 128-index core, so one N x N complex matrix sets the peak
+    def test_seeded_run_holds_no_dense_matrix(self, tmp_path):
+        # walsh_open keeps no block of M and the command solves the
+        # 128 x 128 core alone: about 0.15 of the 16 N^2 bytes of M
         N = 3 ** 7
         tracemalloc.start()
         try:
@@ -404,22 +446,37 @@ class TestWalsh:
         finally:
             tracemalloc.stop()
         assert status == 0
-        assert peak <= 1.25 * 16 * N * N
+        assert peak <= 0.25 * 16 * N * N
 
-    def test_in_place_rotation_is_bitwise_apply_diagonal_phases(
+    def test_core_rotation_is_bitwise_apply_diagonal_phases(
             self, tmp_path, monkeypatch):
         solved = []
 
-        def capture(qmap, want_vectors=False):
-            solved.append(qmap.matrix.copy())
-            return oqmap.spectral.eigen_decompose(qmap, want_vectors)
+        def capture(matrix, want_vectors=False):
+            solved.append(np.array(matrix, copy=True))
+            return oqmap.spectral.eigen_decompose(matrix, want_vectors)
 
         monkeypatch.setattr(oqmap.cli, "eigen_decompose", capture)
         assert run(["walsh", "--branches", "6", "--keep", "1,4",
                     "--word-length", "4", "--phases-seed", "5",
                     "--outdir", tmp_path]) == 0
-        want = apply_diagonal_phases(walsh_open(6, (1, 4), 4).open_map, seed=5)
-        assert solved[0].tobytes() == want.matrix.tobytes()
+        model = walsh_open(6, (1, 4), 4)
+        want = apply_diagonal_phases(model.open_map, seed=5).matrix
+        assert solved[0].tobytes() == \
+            want[np.ix_(model.core, model.core)].tobytes()
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("D,keep,k", WALSH_ORACLE_CASES)
+    def test_spectrum_is_the_dense_spectrum(self, tmp_path, D, keep, k, seed):
+        check_walsh_against_dense(tmp_path, D, keep, k, seed)
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_removed_digit_core_fails_the_dense_oracle(
+            self, tmp_path, monkeypatch, seed):
+        # D6 keep (0, 2, 4) has as many removed digits as kept ones
+        use_removed_digit_core(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_walsh_against_dense(tmp_path, 6, (0, 2, 4), 3, seed)
 
     def test_lapack_failure_exits_3(self, tmp_path, monkeypatch):
         def broken_det(a):

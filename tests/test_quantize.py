@@ -46,7 +46,13 @@ import oqmap.quantize
 import oqmap.spectral
 from oqmap.quantize import _block_sizes, _gdft_apply
 
-from conftest import get_quantization, get_spec, get_walsh, get_walsh_spectrum
+from conftest import (
+    get_quantization,
+    get_spec,
+    get_walsh,
+    get_walsh_spectrum,
+    use_removed_digit_core,
+)
 
 
 def unitarity_defect(U: np.ndarray) -> float:
@@ -67,6 +73,14 @@ def walsh_scatter(omega: np.ndarray, k: int) -> np.ndarray:
     for a in range(D):
         M[base + a, cols] = omega[a, lead]
     return M
+
+
+WALSH_BUILD_CASES = [
+    (3, (0, 2), 4), (3, (0, 2), 7), (4, (0, 2), 3), (4, (0, 1, 3), 5),
+    (5, (1, 3), 4), (6, (1, 4), 4), (6, (0, 2, 4), 4),
+    *[(3, (0, 2), k) for k in range(1, 7)],
+    (2, (0,), 12),  # N = 4096, the largest D^k under the dense guard
+]
 
 
 def gdft(N: int, bloch=(0.0, 0.0)) -> np.ndarray:
@@ -401,12 +415,7 @@ class TestWalsh:
             power = np.linalg.matrix_power(model.open_map.matrix, k)
             assert np.abs(power - tensor).max() <= 1e-12
 
-    @pytest.mark.parametrize("D,keep,k", [
-        (3, (0, 2), 4), (3, (0, 2), 7), (4, (0, 2), 3), (4, (0, 1, 3), 5),
-        (5, (1, 3), 4), (6, (1, 4), 4), (6, (0, 2, 4), 4),
-        *[(3, (0, 2), k) for k in range(1, 7)],
-        (2, (0,), 12),  # N = 4096, the largest D^k under the dense guard
-    ])
+    @pytest.mark.parametrize("D,keep,k", WALSH_BUILD_CASES)
     def test_apply_build_matches_scatter(self, D, keep, k):
         model = walsh_open(D, keep, k)
         want = walsh_scatter(model.omega, k)
@@ -414,6 +423,30 @@ class TestWalsh:
         assert np.array_equal(got, want)
         # same bits, signed zeros included
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("D,keep,k", WALSH_BUILD_CASES)
+    def test_core_block_is_the_open_map_core(self, D, keep, k):
+        model = walsh_open(D, keep, k)
+        M = model.open_map.matrix
+        core, _ = oqmap.spectral._core(M)
+        assert np.array_equal(model.core, core)
+        assert len(core) == len(model.keep) ** k
+        want = M[np.ix_(core, core)]
+        assert model.core_block.tobytes() == want.tobytes()
+
+    def test_removed_digit_core_fails_the_oracle(self, monkeypatch):
+        # D6 keep (0, 2, 4) has as many removed digits as kept ones
+        use_removed_digit_core(monkeypatch)
+        with pytest.raises(AssertionError):
+            self.test_core_block_is_the_open_map_core(6, (0, 2, 4), 3)
+
+    def test_open_map_is_built_on_demand(self):
+        model = walsh_open(3, (0, 2), 3)
+        assert "open_map" not in [f.name for f in dataclasses.fields(model)]
+        first, second = model.open_map, model.open_map
+        assert first.matrix is not second.matrix
+        assert first.matrix.tobytes() == second.matrix.tobytes()
+        assert (first.digest, first.keep) == (model.digest, model.keep)
 
     def test_corrupted_apply_fails_self_check(self, monkeypatch):
         # Omega_D on the leading digit without the digit shift builds
@@ -456,15 +489,24 @@ class TestWalsh:
         with pytest.raises(SolverFailure):
             namespace["walsh_open"](3, (0, 2), 4)
 
-    def test_build_holds_one_dense_matrix(self):
-        # M itself takes 16 N^2 bytes; the block loop adds O(N D^(k-k//2))
+    def test_build_holds_no_dense_matrix(self):
+        # the check holds a few N x D^(k-k//2) blocks at a time and keeps
+        # none: about 0.15 of the 16 N^2 bytes of M at D3 k=7
         N = 3 ** 7
         tracemalloc.start()
         try:
-            walsh_open(3, (0, 2), 7)
+            model = walsh_open(3, (0, 2), 7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak <= 0.25 * 16 * N * N
+        tracemalloc.start()
+        try:
+            assert model.open_map.matrix.nbytes == 16 * N * N
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # M itself plus the blocks it is built from
         assert peak < 1.25 * 16 * N * N
 
     def test_nontrivial_count_small(self):
