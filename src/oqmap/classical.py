@@ -32,6 +32,8 @@ matrix is implemented alongside as an independent cross-check.
 
 Arithmetic is deliberately dual: set-level quantities (volumes, interval
 covers) are exact rationals, while pressure and root-finding use floats.
+Neither needs numpy: this module imports only the standard library, so
+the exact commands (escape, thermo) start without loading it.
 The symbolic refinement runs on integer numerators over the common
 denominator Q^m, and the level-m intervals stay in that form
 (:class:`Intervals`) all the way to their readers; only the one volume
@@ -43,11 +45,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm, log
+from math import exp, inf, lcm, log, sqrt
 from operator import sub
-from typing import Iterator, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     EmptyOrFullKeepSet,
@@ -434,19 +434,20 @@ def _perron_frobenius_full_shift(weights: Sequence[float],
     one and converges immediately, but the loop and divergence guard stay
     general on purpose.
     """
-    w = np.asarray(weights, dtype=float)
-    n = w.size
-    if n < 1 or not np.all(w > 0):
+    w = [float(x) for x in weights]
+    n = len(w)
+    if n < 1 or not all(x > 0 for x in w):
         raise NumericalError(
             f"Perron-Frobenius weights must be positive, got {list(weights)}")
-    v = np.full(n, 1.0 / n)
+    v = [1.0 / n] * n
     lam_prev = 0.0
     for _ in range(max_iter):
-        tv = np.full(n, float(np.dot(w, v)))  # every row of T^w equals w
-        lam = tv.sum() / v.sum()
-        v = tv / tv.sum()
+        tv = [sum(a * b for a, b in zip(w, v))] * n  # every row of T^w is w
+        total = sum(tv)
+        lam = total / sum(v)
+        v = [x / total for x in tv]
         if abs(lam - lam_prev) <= rel_tol * abs(lam):
-            return float(lam)
+            return lam
         lam_prev = lam
     raise PowerIterationDivergence(
         f"no convergence after {max_iter} iterations (last estimate {lam_prev})")
@@ -480,6 +481,26 @@ def cantor_dimension(spec: BakerSpec) -> float:
     return 0.5 * (lo + hi)
 
 
+def _linspace(lo: float, hi: float, count: int) -> List[float]:
+    """np.linspace(lo, hi, count).tolist() bit for bit, for count >= 1.
+
+    The same float operations in the same order: index times step plus
+    lo, or, where the step underflows to 0, (index / div) times the span
+    plus lo; the last point is hi itself.
+    """
+    div = count - 1
+    delta = hi - lo
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0:
+        grid = [(i / div) * delta + lo for i in range(count)]
+    else:
+        grid = [i * step + lo for i in range(count)]
+    grid[-1] = hi
+    return grid
+
+
 @dataclass(frozen=True)
 class PressureReport:
     """Pressure curve plus the derived thermodynamic constants.
@@ -503,7 +524,7 @@ def thermo_report(spec: BakerSpec,
                   s_grid: Optional[Sequence[float]] = None) -> PressureReport:
     """Pressure on a grid plus nu, gamma_cl, H_top and the gap constants."""
     if s_grid is None:
-        s_grid = np.linspace(-1.0, 3.0, 50)
+        s_grid = _linspace(-1.0, 3.0, 50)
     s_grid = tuple(float(s) for s in s_grid)
     lengths = [float(l) for l in spec.kept_lengths]
     values = tuple(_closed_form(lengths, s) for s in s_grid)
@@ -513,8 +534,8 @@ def thermo_report(spec: BakerSpec,
     gamma_cl = -log(surviving)
     h_top = log(len(spec.keep))
     p_half = pressure(spec, 0.5)
-    g_half = float(np.exp(p_half))
-    g_cl = float(np.sqrt(surviving))
+    g_half = exp(p_half)
+    g_cl = sqrt(surviving)
     # convexity of s -> P(-s phi+) pinches the midpoint value
     slack = 1e-12
     convexity_ok = (-gamma_cl / 2 - slack <= p_half <= (h_top - gamma_cl) / 2 + slack)

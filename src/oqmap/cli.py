@@ -14,6 +14,11 @@ floats.  Dimension ranges use start:stop:step (stop inclusive); values
 failing the N*ell_i divisibility requirement are skipped and listed in
 the manifest.  Sweeps over dimensions run serially; BLAS threads are
 the only parallelism.
+
+The exact classical commands (escape, thermo) run on the standard
+library alone: numpy and the numeric layers (quantize, spectral,
+phasespace) are bound into this module by _bind_numeric, which _run
+calls for every other command, so those two start without loading them.
 """
 
 from __future__ import annotations
@@ -27,13 +32,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import __version__
 from .classical import (
     INTERVAL_GUARD,
     _DIGIT_GUARD,
     BakerSpec,
+    _linspace,
     cantor_dimension,
     escape_report,
     spec_digest,
@@ -41,20 +45,6 @@ from .classical import (
     validate_spec,
 )
 from .errors import DimensionGuard, DivisibilityError, NumericalError, ValidationError
-from .phasespace import (
-    CoherentFrame,
-    _validate_grid,
-    husimi_report,
-    merged_strip_cover,
-)
-from .quantize import (
-    DENSE_GUARD,
-    QuantizationConfig,
-    _block_sizes,
-    _phase_factors,
-    quantize_open,
-    walsh_open,
-)
 from .serialize import (
     fmt_float,
     sha256_file,
@@ -68,20 +58,58 @@ from .serialize import (
     write_matrix_csv,
     write_spectrum_csv,
 )
-from .spectral import (
-    _check_m_max,
-    _check_nu,
-    _check_probes,
-    _check_radii,
-    _qr_bound,
-    count_profile,
-    effective_hamiltonian,
-    eigen_decompose,
-    trapped_quasiprojector,
-    weyl_fit,
-)
 
 __all__ = ["main", "build_parser", "exit_code_for"]
+
+# the commands that run on the exact classical layer alone
+_EXACT_COMMANDS = ("escape", "thermo")
+
+
+def _bind_numeric() -> None:
+    """Bind numpy and the numeric layers' names as globals of this module.
+
+    Idempotent: a name already bound, by an earlier call or by a caller
+    that patched this module (a test, the benchmark's tracer), is kept.
+    """
+    import numpy as np
+
+    from .phasespace import (
+        CoherentFrame,
+        _validate_grid,
+        husimi_report,
+        merged_strip_cover,
+    )
+    from .quantize import (
+        DENSE_GUARD,
+        QuantizationConfig,
+        _block_sizes,
+        _phase_factors,
+        quantize_open,
+        walsh_open,
+    )
+    from .spectral import (
+        _check_m_max,
+        _check_nu,
+        _check_probes,
+        _check_radii,
+        _qr_bound,
+        count_profile,
+        effective_hamiltonian,
+        eigen_decompose,
+        trapped_quasiprojector,
+        weyl_fit,
+    )
+    for name, value in dict(locals()).items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """Outside access to a numeric name binds the numeric layers first."""
+    if not name.startswith("__"):
+        _bind_numeric()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +176,7 @@ def parse_bloch(text: str) -> Tuple[float, float]:
 
 def parse_dimensions(text: str) -> List[int]:
     """A single N or an inclusive start:stop:step range, at most DENSE_GUARD."""
+    _bind_numeric()  # the guard is the quantize layer's
     parts = text.split(":")
     if len(parts) == 1:
         parts = [parts[0], parts[0], "1"]
@@ -167,7 +196,7 @@ def parse_dimensions(text: str) -> List[int]:
     return list(values)
 
 
-def parse_float_grid(text: str) -> np.ndarray:
+def parse_float_grid(text: str) -> List[float]:
     """lo:hi:count linear grid, at most INTERVAL_GUARD points."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -183,7 +212,7 @@ def parse_float_grid(text: str) -> np.ndarray:
     if not math.isfinite(hi - lo):
         raise ValidationError(
             f"grid {text!r}: its span hi - lo is not a finite float")
-    return np.linspace(lo, hi, count)
+    return _linspace(lo, hi, count)
 
 
 def _spec_from_args(args, allow_decimal: bool) -> BakerSpec:
@@ -212,6 +241,8 @@ def _run(args) -> None:
     parsed arguments, and is the only file that records the wall time.
     """
     started = time.perf_counter()
+    if args.command not in _EXACT_COMMANDS:
+        _bind_numeric()
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     outputs, digest, skipped = args.func(args, out)
@@ -648,11 +679,14 @@ def build_parser() -> argparse.ArgumentParser:
 def exit_code_for(exc: BaseException) -> int:
     """Exit-code mapping: validation -> 2, numerical -> 3.
 
-    LAPACK failures (LinAlgError, a ValueError subclass) are numerical.
+    LAPACK failures (LinAlgError, a ValueError subclass) are numerical;
+    one can be raised only once numpy is loaded.
     """
     if isinstance(exc, ValidationError):
         return 2
-    if isinstance(exc, (NumericalError, np.linalg.LinAlgError)):
+    numpy = sys.modules.get("numpy")
+    if isinstance(exc, NumericalError) or (
+            numpy is not None and isinstance(exc, numpy.linalg.LinAlgError)):
         return 3
     if isinstance(exc, ValueError):
         return 2

@@ -11,6 +11,10 @@ the string "inf", "-inf" or "nan", never as a bare NaN/Infinity token.
 Matrix files are binary: 8-byte magic "OQMAPv1\\0", little-endian u64
 row and column counts, then the entries column-major as interleaved
 (re, im) float64 pairs.
+
+Only the matrix and PGM writers and the reader import numpy, and
+json_ready does so only for a value that is not a plain Python type or
+a Fraction, so writing an exact report loads no numpy.
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ import struct
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .classical import Intervals
-from .phasespace import HusimiField
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .phasespace import HusimiField
 
 __all__ = [
     "MAGIC",
@@ -87,6 +93,8 @@ def json_ready(obj):
         return json_ready(asdict(obj))
     if isinstance(obj, Fraction):
         return fraction_to_json(obj)
+    import numpy as np  # only numeric commands hand over other values
+
     if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
         return {"re": json_ready(float(obj.real)),
                 "im": json_ready(float(obj.imag))}
@@ -151,6 +159,8 @@ def write_json(path: PathLike, payload) -> Path:
 
 def write_matrix(path: PathLike, matrix: np.ndarray) -> Path:
     """Binary dump: magic, u64 rows, u64 cols, column-major (re, im) f64."""
+    import numpy as np
+
     M = np.asarray(matrix, dtype=complex)
     if M.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {M.shape}")
@@ -165,6 +175,8 @@ def write_matrix(path: PathLike, matrix: np.ndarray) -> Path:
 
 
 def read_matrix(path: PathLike) -> np.ndarray:
+    import numpy as np
+
     with Path(path).open("rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
@@ -179,6 +191,8 @@ def read_matrix(path: PathLike) -> np.ndarray:
 
 def write_matrix_csv(path: PathLike, matrix: np.ndarray) -> Path:
     """Entry list (row, col, re, im); intended for small matrices."""
+    import numpy as np
+
     M = np.asarray(matrix, dtype=complex)
     lines = ["row,col,re,im"]
     for r in range(M.shape[0]):
@@ -246,6 +260,8 @@ def write_husimi_pgm(path: PathLike, field: HusimiField,
     x runs left to right, xi bottom to top; brightest pixel = field max,
     black = dynamic_range below it (or anything nonpositive).
     """
+    import numpy as np
+
     values = field.values
     gx, gxi = values.shape
     vmax = float(values.max())

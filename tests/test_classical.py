@@ -9,6 +9,7 @@ and the transfer-operator route.
 import inspect
 import itertools
 import math
+import random
 import textwrap
 import tracemalloc
 from fractions import Fraction
@@ -31,7 +32,7 @@ from oqmap import (
     validate_spec,
 )
 from oqmap import classical
-from oqmap.classical import _perron_frobenius_full_shift, _refine
+from oqmap.classical import _linspace, _perron_frobenius_full_shift, _refine
 from oqmap.errors import (
     EmptyOrFullKeepSet,
     EndpointMismatch,
@@ -673,6 +674,62 @@ class TestThermoReport:
         with pytest.raises(ValidationError, match="widths") as pressure_err:
             pressure(spec, s)
         assert str(report_err.value) == str(pressure_err.value)
+
+    @pytest.mark.parametrize("lo,hi,count", [
+        pytest.param(0.0, 1.0, 1, id="one point"),
+        pytest.param(0.0, 1.0, 2, id="two points"),
+        pytest.param(2.5, 2.5, 1, id="lo == hi, one point"),
+        pytest.param(-0.0, -0.0, 5, id="lo == hi == -0.0"),
+        pytest.param(3.0, -1.0, 50, id="descending"),
+        pytest.param(-1.0, 3.0, 50, id="thermo default"),
+        pytest.param(-1.0, 3.0, 20000, id="benchmark thermo grid"),
+        pytest.param(0.05, 1.0, 20, id="count default"),
+        pytest.param(0.0, 1e-323, 7, id="step underflows to 0"),
+    ])
+    def test_linspace_is_numpy_bitwise(self, lo, hi, count):
+        want = np.linspace(lo, hi, count).tolist()
+        assert [x.hex() for x in _linspace(lo, hi, count)] == [
+            x.hex() for x in want]
+
+    def test_linspace_zero_step_branch_is_needed(self):
+        # index times the underflowed step would give lo at every point
+        assert 1e-323 / 6 == 0.0
+        assert len(set(_linspace(0.0, 1e-323, 7))) > 2
+
+    def test_linspace_fuzz_is_numpy_bitwise(self):
+        rng = random.Random(20261019)
+
+        def end():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return rng.uniform(-10.0, 10.0)
+            if kind == 1:
+                return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+            if kind == 2:
+                return rng.choice((0.0, -0.0, 5e-324, -5e-324, 1e-310))
+            return float(rng.randrange(-5, 6))
+
+        for _ in range(3000):
+            lo = end()
+            hi = lo if rng.random() < 0.05 else end()
+            count = rng.choice((1, 2, 3, rng.randrange(1, 200)))
+            want = np.linspace(lo, hi, count).tolist()
+            assert [x.hex() for x in _linspace(lo, hi, count)] == [
+                x.hex() for x in want], (lo, hi, count)
+
+    @pytest.mark.parametrize("partition,keep", [
+        pytest.param("0,1/3,2/3,1", (0, 2), id="D3"),
+        pytest.param("0,1/5,2/5,3/5,4/5,1", (1, 3), id="D5"),
+        pytest.param("0,1/2,3/4,1", (0, 2), id="asymmetric"),
+        pytest.param("0,1/4,1/2,3/4,1", (0, 1, 3), id="D4"),
+    ])
+    def test_gap_constants_match_numpy(self, partition, keep):
+        # the specs whose thermo output the benchmark and criterion 12
+        # compare byte for byte
+        spec = validate_spec(partition.split(","), keep)
+        report = thermo_report(spec)
+        assert report.g_half == float(np.exp(pressure(spec, 0.5)))
+        assert report.g_cl == float(np.sqrt(float(spec.survival_fraction)))
 
     def test_custom_grid(self, spec3):
         grid = np.linspace(0.0, 1.0, 11)

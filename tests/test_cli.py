@@ -2,6 +2,7 @@
 (in process, via main), exit-code mapping, manifests, and output schemas.
 """
 
+import inspect
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 
 import oqmap.cli
 import oqmap.quantize
+import oqmap.serialize
 import oqmap.spectral
 from oqmap import classical, errors, phasespace, quantize, spectral
 from oqmap import (
@@ -739,11 +741,135 @@ def test_package_reexports_each_module_all():
             assert obj.__module__ == module.__name__, name
 
 
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this oqmap."""
+    env = {**os.environ, "PYTHONPATH": str(Path(oqmap.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, check=True, env=env)
+
+
 def test_import_loads_no_scipy():
     # every command pays the import; scipy alone would add ~0.5 s
     code = ("import sys, oqmap.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(Path(oqmap.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, check=True, env=env)
-    assert result.stdout.strip() == "[]"
+    assert fresh_python(code).stdout.strip() == "[]"
+
+
+# each command in turn in one interpreter, with whether numpy is loaded
+# after it; the exit codes of a refused input are checked on the way
+NUMPY_PROBE = """
+import json, sys
+import oqmap, oqmap.cli
+from oqmap.errors import NumericalError
+
+def loaded():
+    return "numpy" in sys.modules
+
+steps = [["import", loaded()]]
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = oqmap.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    steps.append([argv[0], code, loaded()])
+    if argv[0] == "escape" and code == 2:
+        codes = [oqmap.cli.exit_code_for(exc)
+                 for exc in (ValueError("x"), NumericalError("x"))]
+        steps.append(["exit_code_for", codes, loaded()])
+import numpy
+steps.append(["LinAlgError", oqmap.cli.exit_code_for(
+    numpy.linalg.LinAlgError("x"))])
+print(json.dumps(steps))
+"""
+
+
+def test_exact_commands_load_no_numpy(tmp_path):
+    # escape and thermo run on the exact classical layer alone, so they
+    # skip numpy's import, about half of their start-up
+    argvs = [
+        ["--version"],
+        ["escape", *D3, "--horizon", "3"],
+        ["thermo", *D3],
+        ["thermo", *D3, "--s-grid=-1:3:7"],
+        ["escape", *D3, "--horizon", "0"],
+        ["spectrum", "--partition", "0,1/2,1", "--keep", "0", "--N", "4"],
+    ]
+    argvs = [argv if argv[0] == "--version"
+             else [*argv, "--outdir", str(tmp_path / str(i))]
+             for i, argv in enumerate(argvs)]
+    # the last line: --version prints its own line first
+    out = fresh_python(NUMPY_PROBE, json.dumps(argvs)).stdout
+    steps = json.loads(out.splitlines()[-1])
+    assert steps == [
+        ["import", False],
+        ["--version", 0, False],
+        ["escape", 0, False],
+        ["thermo", 0, False],
+        ["thermo", 0, False],
+        ["escape", 2, False],
+        ["exit_code_for", [2, 3], False],
+        ["spectrum", 0, True],
+        ["LinAlgError", 3],
+    ]
+
+
+def test_patch_before_the_first_command_takes_effect(tmp_path):
+    # loading the numeric layers keeps a name a caller bound first, the
+    # way tests monkeypatch oqmap.cli and the benchmark's tracer wraps it
+    code = """
+import sys, oqmap.cli
+from oqmap.errors import ValidationError
+
+def patched(*args, **kwargs):
+    raise ValidationError("patched quantize_open")
+
+oqmap.cli.quantize_open = patched
+print(oqmap.cli.main(sys.argv[1:]))
+print(oqmap.cli.quantize_open is patched)
+"""
+    result = fresh_python(code, "spectrum", *D3, "--N", "9", "--outdir",
+                          str(tmp_path))
+    assert result.stdout.split() == ["2", "True"]
+    assert "patched quantize_open" in result.stderr
+
+
+def test_parse_dimensions_before_any_command():
+    # its dense guard comes from the numeric layers, which no command has
+    # loaded yet in a new interpreter
+    code = "import oqmap.cli; print(oqmap.cli.parse_dimensions('4:8:2'))"
+    assert fresh_python(code).stdout.strip() == "[4, 6, 8]"
+
+
+# the layer names oqmap.cli bound by its imports when every layer loaded
+# with it; the benchmark's tracer wraps the functions among them
+CLI_LAYER_NAMES = {
+    classical: ("INTERVAL_GUARD", "_DIGIT_GUARD", "BakerSpec",
+                "cantor_dimension", "escape_report", "spec_digest",
+                "thermo_report", "validate_spec"),
+    phasespace: ("CoherentFrame", "_validate_grid", "husimi_report",
+                 "merged_strip_cover"),
+    quantize: ("DENSE_GUARD", "QuantizationConfig", "_block_sizes",
+               "_phase_factors", "quantize_open", "walsh_open"),
+    oqmap.serialize: ("fmt_float", "sha256_file", "write_counts_csv",
+                      "write_husimi_csv", "write_husimi_pgm",
+                      "write_intervals_csv", "write_json", "write_lines",
+                      "write_matrix", "write_matrix_csv",
+                      "write_spectrum_csv"),
+    spectral: ("_check_m_max", "_check_nu", "_check_probes", "_check_radii",
+               "_qr_bound", "count_profile", "effective_hamiltonian",
+               "eigen_decompose", "trapped_quasiprojector", "weyl_fit"),
+}
+
+
+def test_numeric_command_binds_every_layer_name(tmp_path):
+    assert run(["spectrum", *D3, "--N", "9", "--outdir", tmp_path]) == 0
+    bound = vars(oqmap.cli)
+    assert bound["np"] is np
+    for module, names in CLI_LAYER_NAMES.items():
+        for name in names:
+            assert bound[name] is getattr(module, name), name
+    layers = {m.__name__ for m in CLI_LAYER_NAMES}
+    functions = {name for name, fn in bound.items() if inspect.isfunction(fn)
+                 and fn.__module__ in layers}
+    listed = {name for names in CLI_LAYER_NAMES.values() for name in names}
+    assert functions - listed == {"_linspace"}
