@@ -28,7 +28,9 @@ phi+ = log(1/ell_i).  Its root in s is the Cantor-set dimension exponent
 nu, its value at s=0 is the topological entropy, at s=1 it gives (minus)
 the classical escape rate gamma_cl, and at s=1/2 the spectral-gap
 constant.  A Perron-Frobenius route through the weighted transition
-matrix is implemented alongside as an independent cross-check.
+matrix is implemented alongside as an independent cross-check; its power
+iteration stops at relative change _PF_REL_TOL = 1e-12 and gives up
+after _PF_MAX_ITER = 10000 steps.
 
 Arithmetic is deliberately dual: set-level quantities (volumes, interval
 covers) are exact rationals, while pressure and root-finding use floats.
@@ -150,11 +152,6 @@ class BakerSpec:
     def survival_fraction(self) -> Fraction:
         """Lebesgue measure surviving one step, sum of kept widths."""
         return sum(self.kept_lengths, Fraction(0))
-
-    def symmetric(self) -> bool:
-        """True iff all rectangles have equal width 1/D."""
-        D = self.branch_count
-        return all(l == Fraction(1, D) for l in self.lengths)
 
 
 def _as_fraction(value: Rational) -> Fraction:
@@ -425,12 +422,15 @@ def _closed_form(lengths: Sequence[float], s: float) -> float:
     return log(total)
 
 
-def _perron_frobenius_full_shift(weights: Sequence[float],
-                                 rel_tol: float = 1e-12,
-                                 max_iter: int = 10000) -> float:
+_PF_REL_TOL = 1e-12
+_PF_MAX_ITER = 10000
+
+
+def _perron_frobenius_full_shift(weights: Sequence[float]) -> float:
     """Largest eigenvalue of T^w where T is all-ones and T^w[a,b] = w_b.
 
-    Generic positive-matrix power iteration; the full-shift case is rank
+    Generic positive-matrix power iteration to relative change
+    _PF_REL_TOL within _PF_MAX_ITER steps; the full-shift case is rank
     one and converges immediately, but the loop and divergence guard stay
     general on purpose.
     """
@@ -441,16 +441,17 @@ def _perron_frobenius_full_shift(weights: Sequence[float],
             f"Perron-Frobenius weights must be positive, got {list(weights)}")
     v = [1.0 / n] * n
     lam_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(_PF_MAX_ITER):
         tv = [sum(a * b for a, b in zip(w, v))] * n  # every row of T^w is w
         total = sum(tv)
         lam = total / sum(v)
         v = [x / total for x in tv]
-        if abs(lam - lam_prev) <= rel_tol * abs(lam):
+        if abs(lam - lam_prev) <= _PF_REL_TOL * abs(lam):
             return lam
         lam_prev = lam
     raise PowerIterationDivergence(
-        f"no convergence after {max_iter} iterations (last estimate {lam_prev})")
+        f"no convergence after {_PF_MAX_ITER} iterations "
+        f"(last estimate {lam_prev})")
 
 
 def cantor_dimension(spec: BakerSpec) -> float:

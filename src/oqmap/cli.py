@@ -3,8 +3,14 @@
 Each subcommand maps onto one library operation, writes its CSV/JSON
 artifacts into --outdir, and records a RunManifest JSON naming every
 output with its SHA-256.  Given identical arguments (and seed, where one
-applies) the artifact files are byte-identical across reruns; only the
-manifest's wall_time_s field varies.
+applies), one numpy/BLAS build and one BLAS thread count, the artifact
+files are byte-identical across reruns; only the manifest's wall_time_s
+field varies.  A different BLAS thread count rounds the eigensolver and
+the Frobenius norm differently.  Between 1 and 2 threads, on D3 at
+N=972 (husimi: D5 at N=500), that moved the spectrum.csv rows in the
+|lambda| < 1e-3 cluster, the last digits of backward_error and
+spectral_radius, and husimi.csv; count.csv did not move.  The exact
+commands (escape, thermo) use no BLAS.
 
 Exit codes: 0 success, 2 ill-posed input (validation), 3 numerical
 failure.  Rational inputs are "p/q" tokens; decimal tokens are accepted

@@ -106,16 +106,12 @@ class HusimiField:
     """H(x, xi) = N |<coh, u>|^2 sampled at grid cell centres.
 
     values[a, b] belongs to centre (x_centers[a], xi_centers[b]); the
-    grid average of values estimates ||u||^2.
+    grid average values.mean() estimates ||u||^2.
     """
 
     x_centers: np.ndarray
     xi_centers: np.ndarray
     values: np.ndarray
-
-    @property
-    def grid_mean(self) -> float:
-        return float(self.values.mean())
 
 
 def _validate_grid(grid: Union[int, Tuple[int, int]]) -> Tuple[int, int]:

@@ -10,7 +10,8 @@ the string "inf", "-inf" or "nan", never as a bare NaN/Infinity token.
 
 Matrix files are binary: 8-byte magic "OQMAPv1\\0", little-endian u64
 row and column counts, then the entries column-major as interleaved
-(re, im) float64 pairs.
+(re, im) float64 pairs.  The Husimi PGM is a logarithmic grey scale
+over the fixed dynamic range _PGM_DYNAMIC_RANGE = 1e-12.
 
 Only the matrix and PGM writers and the reader import numpy, and
 json_ready does so only for a value that is not a plain Python type or
@@ -55,6 +56,7 @@ __all__ = [
 ]
 
 MAGIC = b"OQMAPv1\0"
+_PGM_DYNAMIC_RANGE = 1e-12
 
 PathLike = Union[str, Path]
 
@@ -78,16 +80,16 @@ def json_ready(obj):
     scalars and arrays their Python equivalents, dataclasses dicts.
     Non-finite floats become the strings "inf", "-inf" and "nan".
     """
-    # the plain types of a report's bulk first, by exact type: one lookup
-    # per value instead of the isinstance chain below
+    # the plain types of a report's bulk first: scalars by exact type, one
+    # lookup per value, then the containers and their subclasses
     kind = type(obj)
     if kind is float:
         return obj if math.isfinite(obj) else fmt_float(obj)
     if kind is int or kind is str or kind is bool or obj is None:
         return obj
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         return [json_ready(x) for x in obj]
-    if kind is dict:
+    if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
     if is_dataclass(obj) and not isinstance(obj, type):
         return json_ready(asdict(obj))
@@ -106,10 +108,6 @@ def json_ready(obj):
         return json_ready(obj.item())
     if isinstance(obj, np.ndarray):
         return [json_ready(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(x) for x in obj]
     return obj
 
 
@@ -253,12 +251,12 @@ def write_husimi_csv(path: PathLike, field: HusimiField) -> Path:
     return write_lines(path, lines)
 
 
-def write_husimi_pgm(path: PathLike, field: HusimiField,
-                     dynamic_range: float = 1e-12) -> Path:
+def write_husimi_pgm(path: PathLike, field: HusimiField) -> Path:
     """ASCII PGM (P2) rendering on a logarithmic grey scale.
 
     x runs left to right, xi bottom to top; brightest pixel = field max,
-    black = dynamic_range below it (or anything nonpositive).
+    black = _PGM_DYNAMIC_RANGE (1e-12) times it or less (or anything
+    nonpositive).
     """
     import numpy as np
 
@@ -269,8 +267,8 @@ def write_husimi_pgm(path: PathLike, field: HusimiField,
     if vmax <= 0.0:
         grey = np.zeros((gx, gxi), dtype=int)
     else:
-        floor = vmax * dynamic_range
-        log_span = math.log(1.0 / dynamic_range)
+        floor = vmax * _PGM_DYNAMIC_RANGE
+        log_span = math.log(1.0 / _PGM_DYNAMIC_RANGE)
         clipped = np.clip(values, floor, vmax)
         grey = np.rint(255.0 * (np.log(clipped / floor)) / log_span).astype(int)
     for row in range(gxi - 1, -1, -1):  # top row of pixels = largest xi

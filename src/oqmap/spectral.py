@@ -70,8 +70,6 @@ __all__ = [
     "Quasiprojector",
     "EffectiveHamiltonianReport",
     "eigen_decompose",
-    "spectral_radius",
-    "lifetimes",
     "count_profile",
     "weyl_fit",
     "trapped_quasiprojector",
@@ -92,7 +90,8 @@ def _as_matrix(m: MatrixLike) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted by descending modulus (ties: by real, then imag).
+    """Eigenvalues sorted by descending modulus (ties: by real, then imag),
+    so the spectral radius is abs(eigenvalues[0]).
 
     backward_error is an a priori bound c*N*eps*||M||_F on the backward
     error of the QR eigensolver: each computed eigenvalue is exact for
@@ -202,25 +201,13 @@ def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
     return Spectrum(values, vectors, bound)
 
 
-def spectral_radius(matrix: MatrixLike) -> float:
-    """max |lambda|; for open maps this never exceeds 1 + backward error."""
-    spectrum = eigen_decompose(matrix)
-    return float(np.abs(spectrum.eigenvalues[0])) if spectrum.dimension else 0.0
-
-
-def lifetimes(eigenvalues: np.ndarray) -> np.ndarray:
-    """Resonance lifetimes tau = -2 log|lambda| (+inf at lambda = 0)."""
-    moduli = np.abs(np.asarray(eigenvalues))
-    with np.errstate(divide="ignore"):
-        return -2.0 * np.log(moduli)
-
-
 @dataclass(frozen=True)
 class CountReport:
     """Disk counts C(N, r) = #{ |lambda| >= r } over a radius grid.
 
     rescaled stores C / N^nu; under the fractal Weyl law these collapse
-    onto an N-independent profile for fixed r.
+    onto an N-independent profile for fixed r.  spectral_radius is the
+    largest modulus (0 for an empty spectrum).
     """
 
     dimension: int
@@ -228,7 +215,6 @@ class CountReport:
     radii: np.ndarray
     counts: np.ndarray
     rescaled: np.ndarray
-    lifetimes: np.ndarray
     spectral_radius: float
 
 
@@ -273,7 +259,6 @@ def count_profile(spectrum: Union[Spectrum, np.ndarray],
         radii=radii,
         counts=counts.astype(np.int64),
         rescaled=counts / float(N) ** nu,
-        lifetimes=lifetimes(eigenvalues),
         spectral_radius=float(moduli[-1]) if N else 0.0,
     )
 

@@ -101,7 +101,6 @@ class TestValidation:
         assert spec3.lengths == (Fraction(1, 3),) * 3
         assert spec3.kept_lengths == (Fraction(1, 3), Fraction(1, 3))
         assert spec3.survival_fraction == Fraction(2, 3)
-        assert spec3.symmetric()
         assert reflection_symmetric(spec3)
 
     def test_five_branch_spec(self, spec5):
@@ -112,7 +111,6 @@ class TestValidation:
     def test_asym_spec(self, asym_spec):
         assert asym_spec.lengths == (
             Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
-        assert not asym_spec.symmetric()
         assert not reflection_symmetric(asym_spec)
 
     def test_nonmonotone_partition(self):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oqmap.cli
 import oqmap.quantize
@@ -686,6 +688,16 @@ HUGE = "1000000000000000"
                  id="radius-scan none admissible"),
     pytest.param(["weyl-fit", *D3, "--N", "7:8:1", "--radius", "0.5"],
                  id="weyl-fit none admissible"),
+    # QuantizationConfig refuses a dimension below 1 and Bloch phases
+    # outside [0, 1)^2 before the map is quantized
+    pytest.param(["spectrum", *D3, "--N", "0"], id="spectrum N=0"),
+    pytest.param(["spectrum", *D3, "--N=-3"], id="spectrum N=-3"),
+    *(pytest.param([*argv, f"--bloch={bloch}"], id=f"{argv[0]} bloch {bloch}")
+      for argv in (["count", *D3, "--N", "27"], ["spectrum", *D3, "--N", "27"],
+                   ["radius-scan", *D5, "--N", "50:60:2"],
+                   ["weyl-fit", *D3, "--N", "27:135:27", "--radius", "0.5"],
+                   EFFECTIVE, HUSIMI)
+      for bloch in ("1,0", "0,1", "0.5,1.5", "2,0", "-0.25,0")),
 ], ids=lambda argv: argv[0])
 def test_oversized_input_exits_2_before_allocating(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
@@ -873,3 +885,88 @@ def test_numeric_command_binds_every_layer_name(tmp_path):
                  and fn.__module__ in layers}
     listed = {name for names in CLI_LAYER_NAMES.values() for name in names}
     assert functions - listed == {"_linspace"}
+
+
+# ---------------------------------------------------------------------------
+# token fuzz: every command, each option a valid token or a hostile one
+# ---------------------------------------------------------------------------
+
+# option -> (valid tokens, hostile tokens); None is the bare flag
+BAD_INT = ["0", "-3", "x", "nan", "1e-5000", HUGE]
+BAD_REAL = ["nan", "inf", "-inf", "-1", "1e308", HUGE, "x"]
+BAD_GRID = ["0:1:10", "0.9:0.1:10", "nan:1:3", "-inf:0:3", "1e-5000:1:2",
+            f"0:1:{HUGE}", "0:1:0", "0:1", "-1e308:1e308:3"]
+MAP = {
+    "--partition": (["0,1/3,2/3,1", "0,1/5,2/5,3/5,4/5,1", "0,1/2,3/4,1"],
+                    ["0,0.5,1", "0,1/3,1/3,1", "0,1", "1,0", "0,1e-5000,1",
+                     "nan", ""]),
+    "--keep": (["0,2", "1,3", "0"], ["", "0,1,2", "7", "-1", HUGE]),
+}
+# N = 60 holds every width of the three valid partitions
+SPECTRAL = {
+    **MAP,
+    "--N": (["60", "30", "12"], ["7", *BAD_INT]),
+    "--bloch": (["0,0", "0.3,0.7", "0.5,0.25"],
+                ["1,0", "0,1", "0.5,1.5", "2,0", "-0.25,0", "nan,0", "inf,0",
+                 "0"]),
+}
+SWEEP = {**SPECTRAL, "--N": (["12:60:12", "12:36:12", "30:90:30"],
+                             ["7:8:1", "27:9:1", "9:27:0", "0:9:3",
+                              f"1:{HUGE}:1", "nan"])}
+FUZZ_OPTIONS = {
+    "thermo": {**MAP, "--s-grid": (["-1:3:5", "0.1:1:3", "0:0:1"], BAD_GRID)},
+    "escape": {**MAP, "--horizon": (["1", "3", "5"], BAD_INT)},
+    "spectrum": {**SPECTRAL, "--dump-matrix": ([None], [])},
+    "count": {**SPECTRAL, "--r-grid": (["0.05:1.0:20", "0.1:1:3"], BAD_GRID),
+              "--nu": (["0.5", "0", "1"], BAD_REAL)},
+    "radius-scan": SWEEP,
+    "weyl-fit": {**SWEEP, "--radius": (["0.5", "0.3", "0.9"], BAD_REAL)},
+    "walsh": {"--branches": (["2", "3", "4"], ["1", *BAD_INT]),
+              "--keep": (["0", "1", "0,2"], MAP["--keep"][1]),
+              "--word-length": (["1", "2", "3"], BAD_INT),
+              "--phases-seed": (["1", "7"], ["x", "nan"]),
+              "--threshold": (["1e-8", "0.5", "0"], BAD_REAL)},
+    "effective": {**SPECTRAL, "--level": (["0", "1", "2"], BAD_INT),
+                  "--radius": (["0.5", "0.7"], ["0", *BAD_REAL]),
+                  "--probe-radius": (["1.5", "2"], ["0.01", *BAD_REAL]),
+                  "--probe-count": (["1", "3", "8"], BAD_INT),
+                  "--m-max": (["1", "6", "12"], ["13", *BAD_INT])},
+    "husimi": {**SPECTRAL, "--mode-rank": (["0", "3"], ["60", *BAD_INT]),
+               "--grid": (["32", "40"], ["1", *BAD_INT]),
+               "--level": (["1", "2", "3"], BAD_INT),
+               "--thicken": (["auto", "0.05"], BAD_REAL)},
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command with a valid token for each option, except that about one
+    option in six gets a hostile token or is left out (a required option
+    left out is a usage error)."""
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    for flag, (good, bad) in FUZZ_OPTIONS[command].items():
+        if draw(st.sampled_from([False] * 5 + [True])):
+            if not bad or draw(st.integers(0, 3)) == 0:
+                continue
+            value = draw(st.sampled_from(bad))
+        else:
+            value = draw(st.sampled_from(good))
+        # "--flag=value" keeps a leading "-" a value, as in "--bloch=-0.25,0"
+        argv.append(flag if value is None else f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fuzz_argv())
+def test_token_fuzz_exits_0_2_or_3_with_strict_json(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        status = exit_status([*argv, f"--outdir={out}"])
+        assert status in (0, 2, 3), argv
+        written = list(out.iterdir()) if out.exists() else []
+        if status == 2:
+            assert written == [], argv
+        for path in written:
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=refuse_constant)

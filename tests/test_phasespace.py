@@ -114,7 +114,7 @@ class TestHusimiField:
         u = rng.normal(size=64) + 1j * rng.normal(size=64)
         u /= np.linalg.norm(u)
         frame = CoherentFrame(64)
-        mean = husimi_field(u, frame, 32).grid_mean
+        mean = husimi_field(u, frame, 32).values.mean()
         assert 0.95 <= mean <= 1.05
 
     def test_peak_at_coherent_center(self):

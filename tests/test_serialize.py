@@ -8,6 +8,7 @@ so these tests pin exact bytes, not just values.
 import json
 import math
 import struct
+from collections import OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
@@ -142,6 +143,13 @@ class Sample:
     roots: tuple
 
 
+Pair = namedtuple("Pair", "re im")
+
+
+class Row(list):
+    pass
+
+
 def every_type_payload():
     return {
         "empty": {"list": [], "dict": {}, "tuple": (), "array": np.zeros(0)},
@@ -164,6 +172,8 @@ def every_type_payload():
         "complex": [1 + 2j, complex(math.inf, math.nan), -0j],
         "fraction": Fraction(-7, 3),
         "dataclass": Sample("s", Fraction(1, 3), (1 + 1j, 0.5)),
+        "subclasses": [OrderedDict([("b", Row([1.5, math.nan])), ("a", 2)]),
+                       Pair(0.25, Fraction(1, 2)), Row([])],
     }
 
 

@@ -14,10 +14,8 @@ from oqmap import (
     count_profile,
     effective_hamiltonian,
     eigen_decompose,
-    lifetimes,
     match_spectra,
     residual_decay,
-    spectral_radius,
     symmetric_spec,
     trapped_cover,
     trapped_quasiprojector,
@@ -97,15 +95,6 @@ class TestEigenDecompose:
         with pytest.raises(ValueError):
             eigen_decompose(np.zeros((3, 4)))
 
-    def test_spectral_radius_helper(self):
-        assert spectral_radius(np.diag([0.3, -0.9])) == pytest.approx(0.9)
-
-    def test_lifetimes(self):
-        taus = lifetimes(np.array([math.exp(-1.0), 1.0, 0.0]))
-        assert taus[0] == pytest.approx(2.0, abs=1e-14)
-        assert taus[1] == pytest.approx(0.0, abs=1e-14)
-        assert taus[2] == math.inf
-
 
 # ---------------------------------------------------------------------------
 # counts
@@ -130,10 +119,6 @@ class TestCountProfile:
         report = count_profile(get_open_spectrum("D3", 81), [0.5], nu=0.63)
         assert report.rescaled[0] == pytest.approx(
             report.counts[0] / 81 ** 0.63, rel=1e-12)
-
-    def test_lifetime_two_at_inverse_e(self):
-        report = count_profile(np.array([math.exp(-1.0)]), [0.3], nu=0.5)
-        assert report.lifetimes[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_count_semantics_closed_at_r(self):
         report = count_profile(np.array([0.5, 0.25]), [0.25, 0.5, 0.6], nu=1.0)
@@ -285,6 +270,12 @@ class TestResidualDecay:
         with pytest.raises(ValueError):
             residual_decay(M, np.ones(4), 13)
 
+    @pytest.mark.parametrize("projector", [np.ones(5), np.eye(5)],
+                             ids=["diagonal", "matrix"])
+    def test_projector_shape_must_match(self, projector):
+        with pytest.raises(ValueError, match="4"):
+            residual_decay(np.eye(4), projector)
+
 
 # ---------------------------------------------------------------------------
 # effective Hamiltonian
@@ -367,6 +358,37 @@ class TestEffectiveHamiltonian:
         report = effective_hamiltonian(M, quasi.diagonal, probe_ring(1e100), 0.5)
         assert report.unmatched == 0
         assert report.max_identity_rel_error <= 1e-8
+
+    def test_probe_on_an_eigenvalue(self):
+        # 0.9 is an eigenvalue of M and a zero of det E: both sides of the
+        # identity are singular there, and Newton stops on the singular E
+        # at its seed
+        M = np.diag([0.9, 0.1])
+        report = effective_hamiltonian(M, np.array([1.0, 0.0]), (0.9,),
+                                       radius=0.5)
+        assert report.identity_rel_errors == (0.0,)
+        assert report.outer_eigenvalues == (0.9,)
+        assert report.refined_roots == (0.9,)
+        assert report.match_distances == (0.0,)
+        assert report.unmatched == 0
+
+    def test_one_sided_singularity_is_an_infinite_error(self, monkeypatch):
+        # mutation: the full N x N determinant reads as singular while the
+        # reduced side does not, so the identity fails without bound
+        logdet = oqmap.spectral._logdet
+
+        def full_side_singular(matrix):
+            if matrix.shape == (3, 3):
+                return complex(-np.inf, 0.0)
+            return logdet(matrix)
+
+        monkeypatch.setattr(oqmap.spectral, "_logdet", full_side_singular)
+        M = np.diag([0.9, 0.2, 0.1])
+        report = effective_hamiltonian(M, np.array([1.0, 0.0, 0.0]), (2.0,),
+                                       radius=0.5)
+        assert report.identity_rel_errors == (math.inf,)
+        assert report.max_identity_rel_error == math.inf
+        assert report.unmatched == 0
 
     def test_singular_resolvent_guard(self):
         one = np.ones((1, 1), dtype=complex)
