@@ -28,9 +28,8 @@ phi+ = log(1/ell_i).  Its root in s is the Cantor-set dimension exponent
 nu, its value at s=0 is the topological entropy, at s=1 it gives (minus)
 the classical escape rate gamma_cl, and at s=1/2 the spectral-gap
 constant.  A Perron-Frobenius route through the weighted transition
-matrix is implemented alongside as an independent cross-check; its power
-iteration stops at relative change _PF_REL_TOL = 1e-12 and gives up
-after _PF_MAX_ITER = 10000 steps.
+matrix is kept alongside; for a full shift it is a second float
+evaluation of the same sum, so the two agree to rounding.
 
 Arithmetic is deliberately dual: set-level quantities (volumes, interval
 covers) are exact rationals, while pressure and root-finding use floats.
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, inf, lcm, log, sqrt
 from operator import sub
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     EmptyOrFullKeepSet,
@@ -58,7 +57,6 @@ from .errors import (
     NonMonotonePartition,
     NumericalError,
     OutOfDomain,
-    PowerIterationDivergence,
     ValidationError,
 )
 
@@ -66,7 +64,6 @@ __all__ = [
     "BakerSpec",
     "Intervals",
     "EscapeReport",
-    "TrappedCover",
     "PressureReport",
     "validate_spec",
     "symmetric_spec",
@@ -330,55 +327,17 @@ def escape_report(spec: BakerSpec, horizon: int) -> EscapeReport:
     )
 
 
-@dataclass(frozen=True)
-class TrappedCover:
-    """Level-m cover of a trapped tail by strips or product rectangles.
+def trapped_cover(spec: BakerSpec, level: int) -> Intervals:
+    """Exact level-m strips of the trapped tails, as :class:`Intervals`.
 
-    For tail "K_minus" the cover is vertical strips (x-intervals times
-    the full xi range); "K_plus" gives horizontal strips; "K" gives the
-    full product-rectangle cover with measure (sum ell)^(2m).  Rectangle
-    lists for K are exposed lazily via :meth:`rectangles` since there are
-    |keep|^(2m) of them.  Strips are :class:`Intervals` over Q^m.
+    The |keep|^m Cantor intervals over Q^m are the x-strips that cover
+    K- (points surviving ``level`` forward steps) and, read in xi, the
+    strips that cover K+ (``level`` backward steps); their total length
+    is ``escape_report(spec, level).survivor_volume``.
     """
-
-    tail: str
-    level: int
-    x_intervals: Optional[Intervals]
-    xi_intervals: Optional[Intervals]
-    measure: Fraction
-
-    def rectangles(self) -> Iterator[Tuple[Tuple[int, int], Tuple[int, int]]]:
-        """((x_lo, x_hi), (xi_lo, xi_hi)) numerator pairs, all over the one
-        denominator ``x_intervals.den``."""
-        if self.tail != "K":
-            raise ValueError("rectangles are only defined for the full trapped set")
-        xs, xis = self.x_intervals, self.xi_intervals
-        for ix in zip(xs.los, xs.his):
-            for ixi in zip(xis.los, xis.his):
-                yield (ix, ixi)
-
-
-def trapped_cover(spec: BakerSpec, level: int, tail: str = "K") -> TrappedCover:
-    """Exact level-m cover of K, K- or K+ by symbolic strips."""
     if level < 1:
         raise ValueError("cover level must be >= 1")
-    if tail not in ("K", "K_minus", "K_plus"):
-        raise ValueError(f"tail must be K, K_minus or K_plus, got {tail!r}")
-    # the K cover conceptually holds |keep|^(2m) rectangles; guard on that
-    # (the refinement guards the |keep|^m strips)
-    n = len(spec.keep)
-    if tail == "K" and _power_exceeds(n, 2 * level, INTERVAL_GUARD):
-        raise HorizonTooLarge(
-            f"cover would hold {n}^{2 * level} rectangles "
-            f"(guard {INTERVAL_GUARD})")
-
-    alive, intervals = _refine(spec, level)
-    length = alive[-1]
-    if tail == "K_minus":
-        return TrappedCover(tail, level, intervals, None, length)
-    if tail == "K_plus":
-        return TrappedCover(tail, level, None, intervals, length)
-    return TrappedCover(tail, level, intervals, intervals, length * length)
+    return _refine(spec, level)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +348,10 @@ def pressure(spec: BakerSpec, s: float, method: str = "closed_form") -> float:
     """Topological pressure P(-s phi+) of the open baker's full shift.
 
     closed_form evaluates log sum_{i in keep} ell_i^s directly.  markov
-    builds the |keep| x |keep| all-ones transition matrix with column
-    weights w_i = ell_i^s and returns the log of its Perron-Frobenius
-    eigenvalue by power iteration (relative tolerance 1e-12).  For a full
-    shift the two must agree; the markov route exists as an independent
-    cross-check and to accommodate future subshift specs.
+    returns the log of the Perron-Frobenius eigenvalue of the |keep| x
+    |keep| all-ones transition matrix with column weights w_i = ell_i^s.
+    For a full shift that eigenvalue is sum w_i, so markov is a second
+    float evaluation of the same sum, not an independent formula.
     """
     lengths = [float(l) for l in spec.kept_lengths]
     if method == "closed_form":
@@ -422,36 +380,21 @@ def _closed_form(lengths: Sequence[float], s: float) -> float:
     return log(total)
 
 
-_PF_REL_TOL = 1e-12
-_PF_MAX_ITER = 10000
-
-
 def _perron_frobenius_full_shift(weights: Sequence[float]) -> float:
-    """Largest eigenvalue of T^w where T is all-ones and T^w[a,b] = w_b.
+    """Perron-Frobenius eigenvalue of T^w = 1 w^T, the all-ones transition
+    matrix with column weights T^w[a, b] = w_b.
 
-    Generic positive-matrix power iteration to relative change
-    _PF_REL_TOL within _PF_MAX_ITER steps; the full-shift case is rank
-    one and converges immediately, but the loop and divergence guard stay
-    general on purpose.
+    The uniform vector u is its positive eigenvector, so one product
+    T^w u = (w . u) 1 gives the eigenvalue as sum(T^w u) / sum(u).
     """
     w = [float(x) for x in weights]
     n = len(w)
     if n < 1 or not all(x > 0 for x in w):
         raise NumericalError(
             f"Perron-Frobenius weights must be positive, got {list(weights)}")
-    v = [1.0 / n] * n
-    lam_prev = 0.0
-    for _ in range(_PF_MAX_ITER):
-        tv = [sum(a * b for a, b in zip(w, v))] * n  # every row of T^w is w
-        total = sum(tv)
-        lam = total / sum(v)
-        v = [x / total for x in tv]
-        if abs(lam - lam_prev) <= _PF_REL_TOL * abs(lam):
-            return lam
-        lam_prev = lam
-    raise PowerIterationDivergence(
-        f"no convergence after {_PF_MAX_ITER} iterations "
-        f"(last estimate {lam_prev})")
+    u = [1.0 / n] * n
+    image = [sum(a * b for a, b in zip(w, u))] * n  # every row of T^w is w
+    return sum(image) / sum(u)
 
 
 def cantor_dimension(spec: BakerSpec) -> float:

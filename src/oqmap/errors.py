@@ -6,9 +6,8 @@ Two families matter to callers (and fix the CLI exit codes):
   a dimension that violates divisibility, a cover level too fine for the
   quantum lattice, and so on.  These are caller mistakes.
 * ``NumericalError`` -- the request was well-posed but a numerical
-  procedure failed to deliver: an eigensolver did not converge, a power
-  iteration stalled, a symmetry that should hold to machine precision
-  does not.
+  procedure failed to deliver: an eigensolver did not converge, a
+  symmetry that should hold to machine precision does not.
 """
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "EndpointMismatch",
     "OutOfDomain",
     "HorizonTooLarge",
-    "PowerIterationDivergence",
     "DivisibilityError",
     "DimensionGuard",
     "LengthMismatch",
@@ -66,14 +64,6 @@ class OutOfDomain(ValidationError):
 
 class HorizonTooLarge(ValidationError):
     """An escape horizon or cover level would enumerate too many intervals."""
-
-
-class PowerIterationDivergence(NumericalError):
-    """Power iteration for the Perron-Frobenius eigenvalue did not settle.
-
-    Cannot happen for a full shift (the weighted matrix is rank one and
-    positive); the guard exists for future subshift transition matrices.
-    """
 
 
 # --- quantization -----------------------------------------------------------

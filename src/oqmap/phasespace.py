@@ -202,7 +202,7 @@ def merged_strip_cover(spec: BakerSpec, level: int,
     """
     if thickening < 0:
         raise ValueError("thickening must be >= 0")
-    strips = trapped_cover(spec, level, "K_plus").xi_intervals
+    strips = trapped_cover(spec, level)
     den = strips.den
     raw = []
     for lo, hi in zip(strips.los, strips.his):

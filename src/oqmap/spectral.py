@@ -335,7 +335,7 @@ def trapped_quasiprojector(spec: BakerSpec, config: QuantizationConfig,
         raise ValueError("cover level must be >= 0")
 
     diag = np.zeros(N)
-    strips = trapped_cover(spec, level, "K_minus").x_intervals
+    strips = trapped_cover(spec, level)
     den = strips.den
     for lo, hi in zip(strips.los, strips.his):
         # ceil(lo N / den) by integer floor division
@@ -367,13 +367,16 @@ def _split(M: np.ndarray, projector: np.ndarray):
         return M, np.flatnonzero(P == 1.0), np.flatnonzero(P == 0.0)
     if P.shape != (N, N):
         raise ValueError(f"projector shape {P.shape} incompatible with N={N}")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("projector matrix has a non-finite entry")
     if np.linalg.norm(P - P.conj().T, "fro") > 1e-8:
         raise ValueError("projector matrix is not Hermitian")
-    if np.linalg.norm(P @ P - P, "fro") > 1e-8:
+    # "not <=" also refuses a NaN norm, which P @ P reaches when it
+    # overflows; past both checks every eigenvalue lies within about 4e-8
+    # of 0 or 1, so "> 0.5" splits the spectrum
+    if not np.linalg.norm(P @ P - P, "fro") <= 1e-8:
         raise ValueError("projector matrix is not idempotent")
     values, vectors = np.linalg.eigh(P)
-    if not np.all((np.abs(values) < 1e-6) | (np.abs(values - 1.0) < 1e-6)):
-        raise ValueError("projector eigenvalues are not 0/1")
     ones = values > 0.5
     Q = np.concatenate([vectors[:, ones], vectors[:, ~ones]], axis=1)
     rank = int(ones.sum())

@@ -253,31 +253,19 @@ class TestWords:
 
 
 class TestTrappedCover:
-    def test_level1_product_cover(self, spec3):
-        cover = trapped_cover(spec3, 1, "K")
-        rects = list(cover.rectangles())
-        assert len(rects) == 4
-        den = cover.x_intervals.den
-        assert cover.xi_intervals.den == den
-        for (xlo, xhi), (ylo, yhi) in rects:
-            assert Fraction(xhi - xlo, den) == Fraction(1, 3)
-            assert Fraction(yhi - ylo, den) == Fraction(1, 3)
-        assert cover.measure == Fraction(4, 9)
-
     def test_level2_backward_strips(self, spec3):
-        cover = trapped_cover(spec3, 2, "K_minus")
-        assert cover.xi_intervals is None
-        assert len(cover.x_intervals) == 4
+        strips = trapped_cover(spec3, 2)
+        assert len(strips) == 4
         assert all(hi - lo == Fraction(1, 9)
-                   for lo, hi in fraction_intervals(cover.x_intervals))
-        assert cover.measure == Fraction(4, 9)
+                   for lo, hi in fraction_intervals(strips))
+        assert (sum(hi - lo for lo, hi in fraction_intervals(strips))
+                == escape_report(spec3, 2).survivor_volume == Fraction(4, 9))
 
     def test_single_branch_refinement(self):
         spec = validate_spec((0, Fraction(1, 2), 1), (0,))
-        cover = trapped_cover(spec, 3, "K_minus")
-        assert fraction_intervals(cover.x_intervals) == (
-            (Fraction(0), Fraction(1, 8)),)
-        assert cover.measure == Fraction(1, 8)
+        strips = trapped_cover(spec, 3)
+        assert fraction_intervals(strips) == ((Fraction(0), Fraction(1, 8)),)
+        assert escape_report(spec, 3).survivor_volume == Fraction(1, 8)
 
     @pytest.mark.parametrize("partition,keep,level", [
         ((0, Fraction(1, 2), Fraction(3, 4), 1), (0, 2), 6),
@@ -292,27 +280,19 @@ class TestTrappedCover:
         assert all(a <= b for a, b in zip(intervals.his, intervals.los[1:]))
 
     def test_forward_strips_live_in_xi(self, spec3):
-        cover = trapped_cover(spec3, 1, "K_plus")
-        assert cover.x_intervals is None
-        assert fraction_intervals(cover.xi_intervals) == (
+        assert fraction_intervals(trapped_cover(spec3, 1)) == (
             (Fraction(0), Fraction(1, 3)), (Fraction(2, 3), Fraction(1)))
-
-    def test_rectangles_only_for_full_tail(self, spec3):
-        with pytest.raises(ValueError):
-            list(trapped_cover(spec3, 1, "K_minus").rectangles())
 
     def test_validation(self, spec3):
         with pytest.raises(ValueError):
-            trapped_cover(spec3, 0, "K")
-        with pytest.raises(ValueError):
-            trapped_cover(spec3, 1, "K_sideways")
+            trapped_cover(spec3, 0)
 
     def test_cover_guard(self, spec3):
-        with pytest.raises(HorizonTooLarge):
-            trapped_cover(spec3, 12, "K")  # 2^24 rectangles
-        # 2^(2 10^6) has 602060 digits: the guard never forms it
-        with pytest.raises(HorizonTooLarge, match=r"2\^2000000 rectangles"):
-            trapped_cover(spec3, 10 ** 6, "K")
+        with pytest.raises(HorizonTooLarge, match=r"2\^24 intervals"):
+            trapped_cover(spec3, 24)
+        # 2^(10^6) has 301030 digits: the guard never forms it
+        with pytest.raises(HorizonTooLarge, match=r"2\^1000000 intervals"):
+            trapped_cover(spec3, 10 ** 6)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +323,7 @@ class TestEscapeReport:
         for spec in (spec3, asym_spec):
             for m in (1, 2, 3):
                 assert (escape_report(spec, m).survivor_intervals
-                        == trapped_cover(spec, m, "K_minus").x_intervals)
+                        == trapped_cover(spec, m))
 
     def test_horizon_validation(self, spec3):
         with pytest.raises(ValueError):
@@ -377,7 +357,7 @@ class TestEscapeReport:
             with pytest.raises(HorizonTooLarge, match="4300 decimal digits"):
                 escape_report(spec, level)
         with pytest.raises(HorizonTooLarge, match="4300 decimal digits"):
-            trapped_cover(spec, 10 ** 8, "K")
+            trapped_cover(spec, 10 ** 8)
         with pytest.raises(AssertionError, match="loop entered"):
             escape_report(spec, 14284)
 
@@ -567,8 +547,8 @@ class TestPressure:
                 assert abs(closed - markov) <= 1e-10
 
     def test_non_positive_weights_raise(self):
-        # 47^-1000 underflows to 0.0, so the power iteration has no
-        # positive matrix to work on
+        # 47^-1000 underflows to 0.0, so the weighted matrix is not
+        # positive and the uniform vector is no Perron-Frobenius vector
         spec = validate_spec(("0", "1/47", "30/47", "1"), (0, 2))
         with pytest.raises(NumericalError):
             pressure(spec, 1000.0, method="markov")

@@ -293,8 +293,7 @@ class TestHusimiFold:
 def fraction_strip_cover(spec, level, thickening):
     """Oracle: the merged cover from Fraction endpoints through float()."""
     raw = []
-    for lo, hi in fraction_intervals(
-            trapped_cover(spec, level, "K_plus").xi_intervals):
+    for lo, hi in fraction_intervals(trapped_cover(spec, level)):
         a = float(lo) - thickening
         b = float(hi) + thickening
         if b - a >= 1.0:

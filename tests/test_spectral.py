@@ -4,6 +4,7 @@ effective-Hamiltonian reduction with its determinant identity.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ class TestQuasiprojector:
                                                 level):
         # oracle: j from ceil(x N) on the Fraction endpoints
         spec = validate_spec(partition.split(","), keep)
-        strips = trapped_cover(spec, level, "K_minus").x_intervals
+        strips = trapped_cover(spec, level)
         want = np.zeros(N)
         for lo, hi in fraction_intervals(strips):
             want[math.ceil(lo * N):math.ceil(hi * N)] = 1.0
@@ -280,6 +281,32 @@ class TestResidualDecay:
 # ---------------------------------------------------------------------------
 # effective Hamiltonian
 # ---------------------------------------------------------------------------
+
+def surfacing_bulk_seed(corner):
+    """(M, radius) for M = [[corner, 0], [c, D]] with rank-one P = e_0,
+    where an eigenvalue of the bulk D surfaces as an outer Newton seed.
+
+    D hides a Jordan block (eigenvalue 1/2, off-diagonal 1e3) behind a
+    random similarity, so QR spreads its eigenvalues by about 1e-3, and
+    differently for M than for D alone.  The first trial whose largest
+    |eigenvalue of M| exceeds the bulk radius of D by more than the 1e-6
+    margin is returned, with a radius between the two; about half the
+    trials qualify.  B = 0, so E(lam) = 1 - corner/lam.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        S = rng.standard_normal((3, 3))
+        jordan = 0.5 * np.eye(3) + 1e3 * np.eye(3, k=1)
+        M = np.zeros((4, 4))
+        M[0, 0] = corner
+        M[1:, 0] = rng.standard_normal(3)
+        M[1:, 1:] = S @ jordan @ np.linalg.inv(S)
+        bulk = np.abs(np.linalg.eigvals(M[1:, 1:])).max()
+        top = np.abs(eigen_decompose(M).eigenvalues).max()
+        if top > bulk + 2e-6:
+            return M, (bulk + 1e-6 + top) / 2
+    raise AssertionError("no trial surfaced a bulk eigenvalue")
+
 
 class TestEffectiveHamiltonian:
     def test_full_projector_trivial_reduction(self):
@@ -406,6 +433,71 @@ class TestEffectiveHamiltonian:
         nonidem = 0.5 * np.eye(4)
         with pytest.raises(ValueError):
             effective_hamiltonian(M, nonidem, probe_ring(2.0), 1.5)
+
+    @pytest.mark.parametrize("projector", [
+        np.diag([1.0, np.nan, 0.0, 1.0]),
+        np.full((4, 4), np.nan),
+        np.full((4, 4), np.inf),
+    ], ids=["nan-diagonal", "all-nan", "inf"])
+    def test_non_finite_projector_refused(self, projector):
+        # NaN passes every "norm > tol" test, and eigh of an all-NaN or inf
+        # matrix fails to converge: both are refused before any arithmetic
+        M = 0.5 * np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            residual_decay(M, projector)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            effective_hamiltonian(M, projector, probe_ring(2.0), 1.5)
+
+    def test_overflowing_projector_square_refused(self):
+        # finite and Hermitian, but P @ P overflows to NaN entries, so the
+        # idempotence norm is NaN and must not read as "within 1e-8"
+        P = 1e200 * np.array([[-1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow
+            with pytest.raises(ValueError, match="not idempotent"):
+                residual_decay(np.eye(2, dtype=complex), P)
+
+    def test_noisy_matrix_projector_accepted(self, rng):
+        # 1e-10 Hermitian noise on a rank-2 projector stays inside the 1e-8
+        # norm checks, and eigh still splits it into ranks 2 and 4
+        V, _ = np.linalg.qr(rng.standard_normal((6, 2))
+                            + 1j * rng.standard_normal((6, 2)))
+        noise = 1e-10 * rng.standard_normal((6, 6))
+        P = V @ V.conj().T + (noise + noise.T) / 2
+        M = 0.5 * np.eye(6, dtype=complex)
+        report = effective_hamiltonian(M, P, probe_ring(2.0), 1.5, m_max=1)
+        assert report.projector_rank == 2
+        assert report.bulk_spectral_radius == pytest.approx(0.5, abs=1e-12)
+        assert residual_decay(M, P, 1)[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_overflowing_bulk_solve_refused(self):
+        # finite blocks, nilpotent bulk D = [[0, 1e308], [0, 0]]: the solve
+        # against I - D at probe 1 returns 10 * 1e308, which is inf
+        M = np.zeros((3, 3))
+        M[1, 2], M[2, 0], M[0, 1] = 1e308, 10.0, 1.0
+        with pytest.raises(SingularResolvent, match="overflowed"):
+            effective_hamiltonian(M, np.array([1.0, 0.0, 0.0]), [1.0], 0.5)
+
+    def test_newton_keeps_seed_where_det_e_is_flat(self):
+        # corner 0 makes E = 1 at every lam, so E' = 0 and tr(E^-1 E') is
+        # exactly zero: Newton stops and keeps the surfaced seed
+        M, radius = surfacing_bulk_seed(0.0)
+        report = effective_hamiltonian(M, np.array([1.0, 0.0, 0.0, 0.0]),
+                                       [1.0], radius, m_max=1)
+        assert report.outer_eigenvalues
+        assert report.refined_roots == report.outer_eigenvalues
+        assert report.unmatched == 0
+
+    def test_newton_keeps_seed_when_the_step_enters_the_bulk(self):
+        # det E = 1 - 0.3/lam has its root 0.3 inside the bulk radius; from
+        # a seed s near 1/2 the Newton step lands at s(0.6 - s)/0.3, about
+        # 0.17, inside the margin, so the seed is kept
+        M, radius = surfacing_bulk_seed(0.3)
+        report = effective_hamiltonian(M, np.array([1.0, 0.0, 0.0, 0.0]),
+                                       [1.0], radius, m_max=1)
+        assert report.outer_eigenvalues
+        assert report.refined_roots == report.outer_eigenvalues
+        assert report.unmatched == 0
 
 
 # ---------------------------------------------------------------------------
