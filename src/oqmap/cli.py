@@ -3,14 +3,15 @@
 Each subcommand maps onto one library operation, writes its CSV/JSON
 artifacts into --outdir, and records a RunManifest JSON naming every
 output with its SHA-256.  Given identical arguments (and seed, where one
-applies), one numpy/BLAS build and one BLAS thread count, the artifact
-files are byte-identical across reruns; only the manifest's wall_time_s
-field varies.  A different BLAS thread count rounds the eigensolver and
-the Frobenius norm differently.  Between 1 and 2 threads, on D3 at
-N=972 (husimi: D5 at N=500), that moved the spectrum.csv rows in the
-|lambda| < 1e-3 cluster, the last digits of backward_error and
-spectral_radius, and husimi.csv; count.csv did not move.  The exact
-commands (escape, thermo) use no BLAS.
+applies) and one numpy/BLAS build, the artifact files are byte-identical
+across reruns, whatever the BLAS thread variables say; only the
+manifest's wall_time_s field varies.  A threaded BLAS rounds the
+eigensolver and the Frobenius norm differently at each thread count, so
+main pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+the other _BLAS_THREAD_VARS, overriding the caller's values) before
+numpy loads.  A caller that loaded numpy before main keeps its BLAS
+threads and the bits they give.  The exact commands (escape, thermo) use
+no BLAS.
 
 Exit codes: 0 success, 2 ill-posed input (validation), 3 numerical
 failure.  Rational inputs are "p/q" tokens; decimal tokens are accepted
@@ -18,8 +19,9 @@ only where no exact-arithmetic guarantee is at stake (purely spectral
 commands), and are parsed as exact decimal fractions, never binary
 floats.  Dimension ranges use start:stop:step (stop inclusive); values
 failing the N*ell_i divisibility requirement are skipped and listed in
-the manifest.  Sweeps over dimensions run serially; BLAS threads are
-the only parallelism.
+the manifest.  Sweeps over dimensions (radius-scan, weyl-fit) solve them
+concurrently, one per usable core, each on its kept block M[nz, nz]
+alone.
 
 The exact classical commands (escape, thermo) run on the standard
 library alone: numpy and the numeric layers (quantize, spectral,
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from decimal import Decimal
@@ -89,6 +92,7 @@ def _bind_numeric() -> None:
         DENSE_GUARD,
         QuantizationConfig,
         _block_sizes,
+        _kept_block,
         _phase_factors,
         quantize_open,
         walsh_open,
@@ -381,15 +385,38 @@ def _admissible(spec: BakerSpec, dims: Sequence[int]) -> Tuple[List[int], List[i
     return good, skipped
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _sweep(spec: BakerSpec, dims: Sequence[int], bloch: Tuple[float, float],
            measure: Callable[[np.ndarray], object]) -> List[Tuple[int, object]]:
-    """(N, measure(eigenvalue moduli)) for each N, one dense map at a time."""
-    samples = []
-    for N in dims:
-        spectrum = eigen_decompose(
-            quantize_open(spec, QuantizationConfig(N, bloch)).open_map)
-        samples.append((N, measure(np.abs(spectrum.eigenvalues))))
-    return samples
+    """(N, measure(eigenvalue moduli)) for each N, in the order of dims.
+
+    The dimensions run concurrently on the usable cores, largest first,
+    each on its kept block M[nz, nz]: its spectrum is M's but N - |nz|
+    exact zeros, which no measure here sees (a spectral radius, and a
+    count at a radius > 0).  A failure raises the error of the first
+    failing N in dims, as a serial loop would, and cancels the rest.
+    """
+    # imported here: concurrent.futures loads logging, about 0.8 MiB that
+    # no other command needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    def solve(N: int) -> object:
+        block = _kept_block(spec, QuantizationConfig(N, bloch))
+        return measure(np.abs(eigen_decompose(block).eigenvalues))
+
+    with ThreadPoolExecutor(min(len(dims), _usable_cores())) as pool:
+        futures = {N: pool.submit(solve, N) for N in sorted(dims, reverse=True)}
+        try:
+            return [(N, futures[N].result()) for N in dims]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def cmd_radius_scan(args, out: Path):
@@ -699,7 +726,25 @@ def exit_code_for(exc: BaseException) -> int:
     raise exc
 
 
+# the thread-count variables of the BLAS builds numpy may load
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _pin_blas() -> None:
+    """One BLAS thread, if numpy (and so BLAS) is not loaded yet.
+
+    BLAS reads these variables once, when it loads; a caller that loaded
+    numpy first keeps its threads.
+    """
+    if "numpy" not in sys.modules:
+        for var in _BLAS_THREAD_VARS:
+            os.environ[var] = "1"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _pin_blas()
     args = build_parser().parse_args(argv)
     try:
         _run(args)

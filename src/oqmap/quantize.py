@@ -10,6 +10,8 @@ sizes N*ell_i must be integers.  Opening the map multiplies from the
 right by the 0/1 position projector Pi onto the kept rectangles:
 M_N = U_N Pi.  No Fourier matrix is formed: M_N = apply(I[:, nz]) on the
 kept columns nz at O(N |nz| log N), and U_N = apply(I) only on demand.
+A sweep over N needs only M_N[nz, nz], which holds M_N's spectrum but
+N - |nz| exact zeros; _kept_block cuts it from the same applies.
 M_N is a partial isometry: its singular values are exactly
 N*sum(ell_kept) ones and the rest zeros, so all eigenvalues lie in the
 closed unit disk and model resonances with lifetimes
@@ -162,18 +164,53 @@ def _block_sizes(spec: BakerSpec, N: int) -> Tuple[int, ...]:
     return tuple(sizes)
 
 
+def _block_inverse(sizes: Tuple[int, ...], i: int, bloch: Tuple[float, float],
+                   lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """U's columns lo..hi (default: all) of block i, N x (hi - lo): the
+    inverse transform of an N x (hi - lo) slice holding those columns of
+    F_{size_i} on the block's rows.  Both transforms act on each column
+    alone, so a column's bits do not depend on lo and hi."""
+    N, start, size = sum(sizes), sum(sizes[:i]), sizes[i]
+    hi = size if hi is None else hi
+    inner = np.zeros((N, hi - lo), dtype=complex)
+    # np.eye(size, hi - lo, -lo) is I[:, lo:hi]
+    inner[start:start + size] = _gdft_apply(np.eye(size, hi - lo, -lo), bloch)
+    return _gdft_apply(inner, bloch, inverse=True)
+
+
 def _block_columns(sizes: Tuple[int, ...], blocks: Sequence[int],
                    bloch: Tuple[float, float]) -> np.ndarray:
-    """U's columns for the given blocks, zero elsewhere: block i's are the
-    inverse transform of an N x size_i slice holding F_{size_i} on its rows."""
+    """U's columns for the given blocks, zero elsewhere."""
     N = sum(sizes)
     out = np.zeros((N, N), dtype=complex)
     for i in blocks:
-        cols = slice(sum(sizes[:i]), sum(sizes[:i + 1]))
-        inner = np.zeros((N, sizes[i]), dtype=complex)
-        inner[cols] = _gdft_apply(np.eye(sizes[i]), bloch)
-        out[:, cols] = _gdft_apply(inner, bloch, inverse=True)
+        out[:, sum(sizes[:i]):sum(sizes[:i + 1])] = _block_inverse(sizes, i, bloch)
     return out
+
+
+def _kept_block(spec: BakerSpec, config: QuantizationConfig) -> np.ndarray:
+    """M[nz, nz] for the kept indices nz, ascending, without the N x N M.
+
+    M vanishes off its kept columns, so this block carries M's whole
+    spectrum but N - |nz| exact zeros.  Its columns are quantize_open's
+    block inverses, 64 at a time, cut to the rows nz: the entries are M's
+    bit for bit, and the transients are N x 64.
+    """
+    N = config.dimension
+    if N > DENSE_GUARD:
+        raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
+    sizes = _block_sizes(spec, N)
+    nz = np.concatenate([np.arange(sum(sizes[:i]), sum(sizes[:i + 1]))
+                         for i in spec.keep])
+    block = np.empty((nz.size, nz.size), dtype=complex)
+    done = 0
+    for i in spec.keep:
+        for lo in range(0, sizes[i], 64):
+            hi = min(lo + 64, sizes[i])
+            block[:, done:done + hi - lo] = _block_inverse(
+                sizes, i, config.bloch, lo, hi)[nz]
+            done += hi - lo
+    return block
 
 
 def quantize_open(spec: BakerSpec, config: QuantizationConfig) -> OpenQuantization:

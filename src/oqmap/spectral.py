@@ -178,11 +178,13 @@ def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
     if not math.isfinite(bound):
         raise SolverFailure("eigensolver input has a non-finite entry or norm")
     core, sweeps = _core(M)
+    # a core of every index (no sweep dropped one) is M itself: no copy
+    block = M[np.ix_(core, core)] if sweeps else M
     try:
         if want_vectors:
-            values, Y = np.linalg.eig(M[np.ix_(core, core)])
+            values, Y = np.linalg.eig(block)
         else:
-            values = np.linalg.eigvals(M[np.ix_(core, core)])
+            values = np.linalg.eigvals(block)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - QR rarely fails
         raise SolverFailure(f"eigensolver did not converge: {exc}") from exc
 
@@ -554,7 +556,10 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     iteration lam <- lam - 1/tr(E^{-1} E') started at the eigenvalue,
     and matched back.  Both probes and radius must stay outside the bulk
     spectrum by a 1e-6 margin, else the reduction is meaningless and
-    ProbeInsideBulkSpectrum is raised.
+    ProbeInsideBulkSpectrum is raised.  Newton needs lam^4 as a finite
+    float, so an eigenvalue of modulus float max ** 0.25 or more in the
+    annulus raises SolverFailure, and an iterate that would step there
+    stops.
     """
     probes = tuple(complex(p) for p in probes)
     if not probes:
@@ -604,6 +609,14 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     spectrum = eigen_decompose(M)
     moduli = np.abs(spectrum.eigenvalues)
     outer = tuple(complex(z) for z in spectrum.eigenvalues[moduli >= radius])
+    # E' divides by lam^4, which overflows past float max ** 0.25
+    newton_bound = sys.float_info.max ** 0.25
+    for seed in outer:
+        if not abs(seed) < newton_bound:
+            raise SolverFailure(
+                f"eigenvalue {seed} has modulus {abs(seed):.6g}: Newton on "
+                f"det E needs lam^4, so seeds must stay below "
+                f"float max ** 0.25 = {newton_bound:.6g}")
 
     roots = []
     for seed in outer:
@@ -618,7 +631,7 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
                 break
             delta = 1.0 / trace
             nxt = lam - delta
-            if abs(nxt) <= margin or not np.isfinite(nxt):
+            if abs(nxt) <= margin or not abs(nxt) < newton_bound:
                 break  # refinement left the annulus of validity; keep lam
             lam = nxt
             if abs(delta) <= 1e-13 * max(1.0, abs(lam)):

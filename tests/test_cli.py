@@ -2,6 +2,7 @@
 (in process, via main), exit-code mapping, manifests, and output schemas.
 """
 
+import concurrent.futures
 import inspect
 import json
 import math
@@ -369,6 +370,80 @@ class TestWeylFit:
                     "--outdir", tmp_path]) == 2
 
 
+class TestSweep:
+    """radius-scan and weyl-fit solve their dimensions on a thread pool,
+    each on its kept block; the samples are those of a serial loop over
+    the dense maps."""
+
+    @pytest.mark.parametrize("argv", [
+        ["weyl-fit", *D3, "--N", "27:243:27", "--radius", "0.5",
+         "--bloch", "0.3,0.7"],
+        ["radius-scan", *D5, "--N", "50:250:25", "--bloch", "0.6,0.1"],
+        ["radius-scan", "--partition", "0,1/2,3/4,1", "--keep", "0,2",
+         "--N", "4:64:4"],
+    ], ids=lambda argv: argv[0])
+    def test_samples_equal_a_serial_dense_loop(self, tmp_path, argv):
+        assert run([*argv, "--outdir", tmp_path]) == 0
+        args = oqmap.cli.build_parser().parse_args(argv)
+        spec = oqmap.cli._spec_from_args(args, allow_decimal=True)
+        bloch = parse_bloch(args.bloch)
+        dims, _ = oqmap.cli._admissible(spec, parse_dimensions(args.N))
+        lines = []
+        for N in dims:  # ascending
+            moduli = np.abs(eigen_decompose(quantize_open(
+                spec, QuantizationConfig(N, bloch)).open_map).eigenvalues)
+            if args.command == "weyl-fit":
+                lines.append(f"{N},{np.count_nonzero(moduli >= args.radius)}")
+            else:
+                lines.append(f"{N},{oqmap.serialize.fmt_float(moduli.max())}")
+        name = {"weyl-fit": "weyl_fit_samples.csv",
+                "radius-scan": "radius_scan.csv"}[args.command]
+        got = (tmp_path / name).read_text().splitlines()[1:]
+        assert [",".join(line.split(",")[:2]) for line in got] == lines
+
+    def test_failed_dimension_exits_3_with_the_serial_message(
+            self, tmp_path, monkeypatch, capsys):
+        # N = 54 and N = 108 fail; the pool starts 108 first, a serial
+        # loop meets 54 first, and its message is the one reported
+        solve = oqmap.cli.eigen_decompose
+
+        def failing(matrix, *args, **kwargs):
+            if len(matrix) in (36, 72):  # the kept blocks of N = 54, 108
+                raise errors.SolverFailure(f"no convergence at |K|={len(matrix)}")
+            return solve(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(oqmap.cli, "eigen_decompose", failing)
+        for argv in (["weyl-fit", *D3, "--N", "27:135:27", "--radius", "0.5"],
+                     ["radius-scan", *D3, "--N", "27:135:27"]):
+            out = tmp_path / argv[0]
+            assert run([*argv, "--outdir", out]) == 3
+            assert capsys.readouterr().err == \
+                "oqmap: error: no convergence at |K|=36\n"
+            assert list(out.iterdir()) == []
+
+    def test_pool_width_and_submission_order(self, monkeypatch):
+        pools = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.submitted = []
+                pools.append(self)
+
+            def submit(self, fn, N):
+                self.submitted.append(N)
+                return super().submit(fn, N)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(oqmap.cli, "_usable_cores", lambda: 3)
+        spec = symmetric_spec(3, (0, 2))
+        for dims in ([9, 27, 18, 3], [6, 3]):
+            samples = oqmap.cli._sweep(spec, dims, (0.0, 0.0), len)
+            assert samples == [(N, 2 * N // 3) for N in dims]
+        assert [pool._max_workers for pool in pools] == [3, 2]
+        assert [pool.submitted for pool in pools] == [[27, 18, 9, 3], [6, 3]]
+
+
 # the four benchmark specs at small k, and D4 keep (0, 2): its OmegaTilde
 # is rank one, so the core's eigenvalues reach down to rounding level,
 # just above the N - n^k exact zeros in the sort
@@ -701,6 +776,7 @@ HUGE = "1000000000000000"
 ], ids=lambda argv: argv[0])
 def test_oversized_input_exits_2_before_allocating(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+    monkeypatch.setattr(oqmap.cli, "_kept_block", unreachable)
     tracemalloc.start()
     try:
         status = run([*argv, "--outdir", tmp_path])
@@ -825,6 +901,61 @@ def test_exact_commands_load_no_numpy(tmp_path):
     ]
 
 
+PIN_PROBE = """
+import json, os, sys
+if sys.argv[1] == "numpy first":
+    import numpy
+import oqmap.cli
+for var in oqmap.cli._BLAS_THREAD_VARS:
+    os.environ[var] = "3"
+code = oqmap.cli.main(sys.argv[2:])
+print(json.dumps([code, {v: os.environ[v] for v in oqmap.cli._BLAS_THREAD_VARS}]))
+"""
+
+
+@pytest.mark.parametrize("order,threads", [("main first", "1"),
+                                           ("numpy first", "3")])
+def test_main_pins_blas_before_numpy_loads(tmp_path, order, threads):
+    # BLAS reads its thread count when numpy loads it: main overrides the
+    # caller's value only while that is still to come
+    out = fresh_python(PIN_PROBE, order, "spectrum", *D3, "--N", "9",
+                       "--outdir", str(tmp_path)).stdout
+    code, seen = json.loads(out)
+    assert code == 0
+    assert seen == {var: threads for var in oqmap.cli._BLAS_THREAD_VARS}
+    assert set(seen) >= {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS"}
+
+
+@pytest.mark.parametrize("argv", [
+    # at one and two BLAS threads without the pin, spectrum.csv and
+    # spectrum.json differ, and so does radius_scan.csv
+    ["spectrum", *D3, "--N", "243", "--bloch", "0.3,0.7"],
+    ["radius-scan", *D5, "--N", "250:500:250"],
+], ids=lambda argv: argv[0])
+def test_outputs_do_not_depend_on_the_blas_thread_variables(tmp_path, argv):
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(oqmap.__file__).parents[1])}
+        subprocess.run([sys.executable, "-m", "oqmap.cli", *argv,
+                        "--outdir", str(out)], env=env, check=True)
+        files = {}
+        for path in sorted(out.iterdir()):
+            if path.name.endswith("_manifest.json"):
+                doc = load(path)
+                doc.pop("wall_time_s")
+                doc["parameters"].pop("outdir")
+                files[path.name] = doc
+            else:
+                files[path.name] = path.read_bytes()
+        outputs.append(files)
+    assert len(outputs[0]) >= 2
+    assert outputs[0] == outputs[1]
+
+
 def test_patch_before_the_first_command_takes_effect(tmp_path):
     # loading the numeric layers keeps a name a caller bound first, the
     # way tests monkeypatch oqmap.cli and the benchmark's tracer wraps it
@@ -861,7 +992,7 @@ CLI_LAYER_NAMES = {
     phasespace: ("CoherentFrame", "_validate_grid", "husimi_report",
                  "merged_strip_cover"),
     quantize: ("DENSE_GUARD", "QuantizationConfig", "_block_sizes",
-               "_phase_factors", "quantize_open", "walsh_open"),
+               "_kept_block", "_phase_factors", "quantize_open", "walsh_open"),
     oqmap.serialize: ("fmt_float", "sha256_file", "write_counts_csv",
                       "write_husimi_csv", "write_husimi_pgm",
                       "write_intervals_csv", "write_json", "write_lines",

@@ -44,7 +44,13 @@ from oqmap.errors import (
 
 import oqmap.quantize
 import oqmap.spectral
-from oqmap.quantize import _block_sizes, _gdft_apply
+from oqmap.quantize import (
+    _block_columns,
+    _block_sizes,
+    _block_inverse,
+    _gdft_apply,
+    _kept_block,
+)
 
 from conftest import (
     get_quantization,
@@ -364,6 +370,51 @@ class TestKeptColumnBuild:
             tracemalloc.stop()
         assert quant.open_map.matrix.nbytes == 16 * N * N
         assert peak <= 2.25 * 16 * N * N
+
+
+class TestKeptBlock:
+    """_kept_block is M[nz, nz] on the kept indices nz, built from the
+    same inverse transforms as quantize_open without an N x N array."""
+
+    @pytest.mark.parametrize("tag,N", [*BUILD_CASES, ("D3", 162), ("D5", 250),
+                                       ("asym", 12)])
+    def test_bitwise_open_map_block(self, tag, N):
+        rng = np.random.default_rng(N)
+        for _ in range(2):
+            config = QuantizationConfig(N, tuple(rng.uniform(0.0, 1.0, 2)))
+            quant = quantize_open(get_spec(tag), config)
+            nz = np.flatnonzero(quant.projector)
+            want = quant.open_map.matrix[np.ix_(nz, nz)]
+            got = _kept_block(get_spec(tag), config)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 7, 64, 1000])
+    def test_column_chunks_move_no_bit(self, width):
+        sizes, bloch = (128, 64, 64), (0.3, 0.7)
+        U = _block_columns(sizes, range(3), bloch)
+        chunks = [_block_inverse(sizes, i, bloch, lo, min(lo + width, size))
+                  for i, size in enumerate(sizes)
+                  for lo in range(0, size, width)]
+        assert max(c.shape[1] for c in chunks) == min(width, 128)
+        assert np.hstack(chunks).tobytes() == U.tobytes()
+
+    def test_holds_no_dense_matrix(self, spec3):
+        N = 972
+        config = QuantizationConfig(N, (0.3, 0.7))
+        _kept_block(spec3, config)  # FFT plans
+        tracemalloc.start()
+        try:
+            block = _kept_block(spec3, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (648, 648)
+        assert peak < 16 * N * N
+
+    def test_dense_guard(self, spec3):
+        with pytest.raises(DimensionGuard):
+            _kept_block(spec3, QuantizationConfig(5001))
 
 
 # ---------------------------------------------------------------------------

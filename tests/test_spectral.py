@@ -386,6 +386,19 @@ class TestEffectiveHamiltonian:
         assert report.unmatched == 0
         assert report.max_identity_rel_error <= 1e-8
 
+    def test_seed_past_the_newton_bound_refused(self):
+        # E' divides by lam^4: the seeds 1e80 and 1e79 have no finite
+        # fourth power, while the probe 2e80 has a finite square
+        with pytest.raises(SolverFailure, match="float max \\*\\* 0.25"):
+            effective_hamiltonian(np.diag([1e80, 1e79, 0.5]),
+                                  np.array([1.0, 1.0, 0.0]), [2e80], 1.0)
+        # just inside the bound the seeds refine to themselves
+        report = effective_hamiltonian(np.diag([1e76, 1e75, 0.5]),
+                                       np.array([1.0, 1.0, 0.0]), [2e76], 1.0,
+                                       m_max=1)
+        assert report.refined_roots == (1e76, 1e75)
+        assert report.unmatched == 0
+
     def test_probe_on_an_eigenvalue(self):
         # 0.9 is an eigenvalue of M and a zero of det E: both sides of the
         # identity are singular there, and Newton stops on the singular E
