@@ -2,16 +2,16 @@
 
 Each subcommand maps onto one library operation, writes its CSV/JSON
 artifacts into --outdir, and records a RunManifest JSON naming every
-output with its SHA-256.  Given identical arguments (and seed, where one
-applies) and one numpy/BLAS build, the artifact files are byte-identical
-across reruns, whatever the BLAS thread variables say; only the
-manifest's wall_time_s field varies.  A threaded BLAS rounds the
-eigensolver and the Frobenius norm differently at each thread count, so
-main pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-the other _BLAS_THREAD_VARS, overriding the caller's values) before
-numpy loads.  A caller that loaded numpy before main keeps its BLAS
-threads and the bits they give.  The exact commands (escape, thermo) use
-no BLAS.
+output with its SHA-256 and the numpy/BLAS build it ran on.  Given
+identical arguments (and seed, where one applies) and one numpy/BLAS
+build, the artifact files are byte-identical across reruns, whatever the
+BLAS thread variables say; only the manifest's wall_time_s field varies.
+A threaded BLAS rounds the eigensolver and the Frobenius norm
+differently at each thread count, so main pins BLAS to one thread
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and the other _BLAS_THREAD_VARS,
+overriding the caller's values) before numpy loads.  A caller that
+loaded numpy before main keeps its BLAS threads and the bits they give.
+The exact commands (escape, thermo) use no BLAS.
 
 Exit codes: 0 success, 2 ill-posed input (validation), 3 numerical
 failure.  Rational inputs are "p/q" tokens; decimal tokens are accepted
@@ -19,9 +19,11 @@ only where no exact-arithmetic guarantee is at stake (purely spectral
 commands), and are parsed as exact decimal fractions, never binary
 floats.  Dimension ranges use start:stop:step (stop inclusive); values
 failing the N*ell_i divisibility requirement are skipped and listed in
-the manifest.  Sweeps over dimensions (radius-scan, weyl-fit) solve them
-concurrently, one per usable core, each on its kept block M[nz, nz]
-alone.
+the manifest.  The eigenvalue-only commands (spectrum, count,
+radius-scan, weyl-fit) solve M = U Pi through _open_spectrum, on its
+kept block M[nz, nz] alone, and spectrum --dump-matrix streams M in
+column chunks; only effective and husimi form the N x N map.  Sweeps
+over dimensions solve them concurrently, one per usable core.
 
 The exact classical commands (escape, thermo) run on the standard
 library alone: numpy and the numeric layers (quantize, spectral,
@@ -36,6 +38,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -93,6 +96,7 @@ def _bind_numeric() -> None:
         QuantizationConfig,
         _block_sizes,
         _kept_block,
+        _open_columns,
         _phase_factors,
         quantize_open,
         walsh_open,
@@ -244,11 +248,30 @@ def _echo_parameters(args) -> Dict[str, object]:
     return echo
 
 
+def _numeric_build(command: str) -> Dict[str, Optional[str]]:
+    """The numpy version and the BLAS build that a numeric command's bits
+    depend on.  All null for the exact commands, which load no numpy;
+    the BLAS fields are null where numpy.show_config has no dicts mode
+    (numpy < 1.26) or names no BLAS."""
+    build = dict.fromkeys(("numpy_version", "blas_name", "blas_version"))
+    if command in _EXACT_COMMANDS:
+        return build
+    build["numpy_version"] = np.__version__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return build
+    build["blas_name"] = blas.get("name")
+    build["blas_version"] = blas.get("version")
+    return build
+
+
 def _run(args) -> None:
     """Run one subcommand in its outdir and write its manifest.
 
     The manifest names every output with its SHA-256 and size, echoes the
-    parsed arguments, and is the only file that records the wall time.
+    parsed arguments, records the numpy/BLAS build, and is the only file
+    that records the wall time.
     """
     started = time.perf_counter()
     if args.command not in _EXACT_COMMANDS:
@@ -267,6 +290,7 @@ def _run(args) -> None:
         "outputs": [{"path": p.name, "sha256": sha256_file(p),
                      "bytes": p.stat().st_size} for p in outputs],
         "skipped_dimensions": list(skipped),
+        **_numeric_build(args.command),
     }
     write_json(out / f"{args.command.replace('-', '_')}_manifest.json",
                manifest)
@@ -319,23 +343,50 @@ def cmd_escape(args, out: Path):
     return outputs, digest, ()
 
 
+def _with_zeros(spectrum: Spectrum, N: int, frobenius: float) -> Spectrum:
+    """The spectrum of an N x N map from that of its exact core: the
+    core's eigenvalues, then the N - |K| exact zeros, which sort last and
+    stably, as eigen_decompose of the map orders them; the backward error
+    bound is QR's on the map, whose Frobenius norm is frobenius."""
+    values = spectrum.eigenvalues
+    zeros = np.zeros(N - len(values), dtype=values.dtype)
+    return replace(spectrum, eigenvalues=np.concatenate([values, zeros]),
+                   backward_error=_qr_bound(N, frobenius))
+
+
+def _open_spectrum(spec: BakerSpec, config: QuantizationConfig) -> Spectrum:
+    """The eigenvalues of M = U Pi, solved on its kept block M[nz, nz].
+
+    M vanishes off the kept columns nz, so its spectrum is the block's
+    and N - |nz| exact zeros.  Those columns are orthonormal columns of
+    the unitary U, so ||M||_F = sqrt(|nz|) exactly.
+    """
+    block = _kept_block(spec, config)
+    return _with_zeros(eigen_decompose(block), config.dimension,
+                       math.sqrt(len(block)))
+
+
 def cmd_spectrum(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
-    qmap = quantize_open(spec, QuantizationConfig(args.N, bloch)).open_map
-    spectrum = eigen_decompose(qmap)
+    config = QuantizationConfig(args.N, bloch)
+    spectrum = _open_spectrum(spec, config)
     outputs = [write_spectrum_csv(out / "spectrum.csv", spectrum.eigenvalues)]
     if args.dump_matrix:
-        outputs.append(write_matrix(out / "spectrum_matrix.bin", qmap.matrix))
+        outputs.append(write_matrix(out / "spectrum_matrix.bin",
+                                    _open_columns(spec, config)))
         if args.N <= 64:
-            outputs.append(write_matrix_csv(out / "spectrum_matrix.csv",
-                                            qmap.matrix))
+            # the CSV runs row by row: it takes the chunks joined, 64 KiB
+            # at most
+            outputs.append(write_matrix_csv(
+                out / "spectrum_matrix.csv",
+                np.hstack(list(_open_columns(spec, config)))))
     digest = spec_digest(spec)
     payload = {
         "spec_digest": digest,
         "N": args.N,
         "bloch": list(bloch),
-        "kind": qmap.kind,
+        "kind": "open_standard",
         "backward_error": spectrum.backward_error,
         "spectral_radius": float(np.abs(spectrum.eigenvalues).max()),
         "eigenvalue_count": spectrum.dimension,
@@ -349,8 +400,7 @@ def cmd_count(args, out: Path):
     bloch = parse_bloch(args.bloch)
     radii = _check_radii(parse_float_grid(args.r_grid))
     nu = _check_nu(args.nu if args.nu is not None else cantor_dimension(spec))
-    spectrum = eigen_decompose(
-        quantize_open(spec, QuantizationConfig(args.N, bloch)).open_map)
+    spectrum = _open_spectrum(spec, QuantizationConfig(args.N, bloch))
     report = count_profile(spectrum, radii, nu)
     digest = spec_digest(spec)
     outputs = [
@@ -397,18 +447,17 @@ def _sweep(spec: BakerSpec, dims: Sequence[int], bloch: Tuple[float, float],
     """(N, measure(eigenvalue moduli)) for each N, in the order of dims.
 
     The dimensions run concurrently on the usable cores, largest first,
-    each on its kept block M[nz, nz]: its spectrum is M's but N - |nz|
-    exact zeros, which no measure here sees (a spectral radius, and a
-    count at a radius > 0).  A failure raises the error of the first
-    failing N in dims, as a serial loop would, and cancels the rest.
+    each solved by _open_spectrum on its kept block.  A failure raises
+    the error of the first failing N in dims, as a serial loop would,
+    and cancels the rest.
     """
     # imported here: concurrent.futures loads logging, about 0.8 MiB that
     # no other command needs
     from concurrent.futures import ThreadPoolExecutor
 
     def solve(N: int) -> object:
-        block = _kept_block(spec, QuantizationConfig(N, bloch))
-        return measure(np.abs(eigen_decompose(block).eigenvalues))
+        spectrum = _open_spectrum(spec, QuantizationConfig(N, bloch))
+        return measure(np.abs(spectrum.eigenvalues))
 
     with ThreadPoolExecutor(min(len(dims), _usable_cores())) as pool:
         futures = {N: pool.submit(solve, N) for N in sorted(dims, reverse=True)}
@@ -469,19 +518,16 @@ def cmd_walsh(args, out: Path):
         # operands of apply_diagonal_phases in their order
         phases = _phase_factors(dimension, seed=args.phases_seed)
         block = phases[model.core][:, None] * block
-    # M's spectrum is its core's and N - n^k exact zeros, which sort last
-    # and stably, as eigen_decompose(M) orders them
-    spectrum = eigen_decompose(block)
-    eigenvalues = np.concatenate([spectrum.eigenvalues, np.zeros(
-        dimension - len(block), dtype=spectrum.eigenvalues.dtype)])
-    moduli = np.abs(eigenvalues)
+    # M's spectrum is its core's and N - n^k exact zeros; the bound is
+    # on the full M: each of Omega_D's D columns is N/D columns of M, in
+    # other rows, and the phases have unit modulus
+    spectrum = _with_zeros(eigen_decompose(block), dimension,
+                           math.sqrt(dimension // args.branches)
+                           * float(np.linalg.norm(model.omega)))
+    moduli = np.abs(spectrum.eigenvalues)
     keep, omega_tilde = model.keep, model.omega_tilde
     n = len(keep)
     r_c = float(abs(np.linalg.det(omega_tilde))) ** (1.0 / n)
-    # the bound on the full M: each of Omega_D's D columns is N/D columns
-    # of M, in other rows, and the phases have unit modulus
-    backward_error = _qr_bound(dimension, math.sqrt(dimension // args.branches)
-                               * float(np.linalg.norm(model.omega)))
     payload = {
         "branches": args.branches,
         "keep": list(keep),
@@ -494,10 +540,10 @@ def cmd_walsh(args, out: Path):
         "radius_bound": n / math.sqrt(args.branches),
         "r_c": r_c,
         "omega_tilde_eigenvalues": list(np.linalg.eigvals(omega_tilde)),
-        "backward_error": backward_error,
+        "backward_error": spectrum.backward_error,
     }
     outputs = [
-        write_spectrum_csv(out / "walsh_spectrum.csv", eigenvalues),
+        write_spectrum_csv(out / "walsh_spectrum.csv", spectrum.eigenvalues),
         write_json(out / "walsh.json", payload),
     ]
     return outputs, model.digest, ()

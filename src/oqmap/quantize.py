@@ -10,8 +10,10 @@ sizes N*ell_i must be integers.  Opening the map multiplies from the
 right by the 0/1 position projector Pi onto the kept rectangles:
 M_N = U_N Pi.  No Fourier matrix is formed: M_N = apply(I[:, nz]) on the
 kept columns nz at O(N |nz| log N), and U_N = apply(I) only on demand.
-A sweep over N needs only M_N[nz, nz], which holds M_N's spectrum but
-N - |nz| exact zeros; _kept_block cuts it from the same applies.
+A spectrum needs only M_N[nz, nz], which holds M_N's eigenvalues but
+N - |nz| exact zeros; _kept_block cuts it from the same applies, 64
+columns at a time, and _open_columns hands out M_N itself in those
+chunks, so only quantize_open forms the N x N array.
 M_N is a partial isometry: its singular values are exactly
 N*sum(ell_kept) ones and the rest zeros, so all eigenvalues lie in the
 closed unit disk and model resonances with lifetimes
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,13 +132,15 @@ class OpenQuantization:
 
 
 def _gdft_apply(X: np.ndarray, bloch: Tuple[float, float],
-                inverse: bool = False) -> np.ndarray:
+                inverse: bool = False, overwrite: bool = False) -> np.ndarray:
     """F X, or F^* X when inverse, along axis 0 of an (n, m) block X.
 
     The generalized DFT F[j,k] = n^{-1/2} e^{-2 pi i (j+theta_xi)(k+theta_x)/n}
     is one orthonormal FFT between the input twiddle e^{-2 pi i theta_xi k/n}
     and the output twiddle e^{-2 pi i (j+theta_xi) theta_x/n}; F^* runs the
-    conjugate twiddles in reverse order around the inverse FFT.
+    conjugate twiddles in reverse order around the inverse FFT.  With
+    overwrite, X must be a complex array the caller no longer needs: the
+    input twiddle scales it in place, one (n, m) transient fewer.
     """
     n = X.shape[0]
     if n < 1:
@@ -145,10 +149,17 @@ def _gdft_apply(X: np.ndarray, bloch: Tuple[float, float],
     idx = np.arange(n)[:, None]
     twiddle_in = np.exp((-2j * np.pi / n) * theta_xi * idx)
     twiddle_out = np.exp((-2j * np.pi / n) * (idx + theta_xi) * theta_x)
+    # np.multiply keeps the operand order of twiddle * X, whose bits
+    # X * twiddle does not give; the outer twiddle scales the FFT's new
+    # array in place
+    scratch = X if overwrite else None
     if inverse:
-        return twiddle_in.conj() * np.fft.ifft(twiddle_out.conj() * X, axis=0,
-                                               norm="ortho")
-    return twiddle_out * np.fft.fft(twiddle_in * X, axis=0, norm="ortho")
+        X = np.multiply(twiddle_out.conj(), X, out=scratch)
+        out = np.fft.ifft(X, axis=0, norm="ortho")
+        return np.multiply(twiddle_in.conj(), out, out=out)
+    X = np.multiply(twiddle_in, X, out=scratch)
+    out = np.fft.fft(X, axis=0, norm="ortho")
+    return np.multiply(twiddle_out, out, out=out)
 
 
 def _block_sizes(spec: BakerSpec, N: int) -> Tuple[int, ...]:
@@ -175,7 +186,7 @@ def _block_inverse(sizes: Tuple[int, ...], i: int, bloch: Tuple[float, float],
     inner = np.zeros((N, hi - lo), dtype=complex)
     # np.eye(size, hi - lo, -lo) is I[:, lo:hi]
     inner[start:start + size] = _gdft_apply(np.eye(size, hi - lo, -lo), bloch)
-    return _gdft_apply(inner, bloch, inverse=True)
+    return _gdft_apply(inner, bloch, inverse=True, overwrite=True)
 
 
 def _block_columns(sizes: Tuple[int, ...], blocks: Sequence[int],
@@ -188,37 +199,61 @@ def _block_columns(sizes: Tuple[int, ...], blocks: Sequence[int],
     return out
 
 
+def _guarded_sizes(spec: BakerSpec, config: QuantizationConfig) -> Tuple[int, ...]:
+    """The block sizes N*ell_i, once N has passed the dense guard."""
+    N = config.dimension
+    if N > DENSE_GUARD:
+        raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
+    return _block_sizes(spec, N)
+
+
+def _column_chunks(sizes: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
+    """(block i, lo, hi) for M's columns, left to right, 64 at a time:
+    no chunk crosses a block boundary, so a block's last is narrower."""
+    for i, size in enumerate(sizes):
+        for lo in range(0, size, 64):
+            yield i, lo, min(lo + 64, size)
+
+
 def _kept_block(spec: BakerSpec, config: QuantizationConfig) -> np.ndarray:
     """M[nz, nz] for the kept indices nz, ascending, without the N x N M.
 
     M vanishes off its kept columns, so this block carries M's whole
     spectrum but N - |nz| exact zeros.  Its columns are quantize_open's
-    block inverses, 64 at a time, cut to the rows nz: the entries are M's
-    bit for bit, and the transients are N x 64.
+    block inverses, one _column_chunks chunk at a time, cut to the rows
+    nz: the entries are M's bit for bit, and the transients are N x 64.
     """
-    N = config.dimension
-    if N > DENSE_GUARD:
-        raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
-    sizes = _block_sizes(spec, N)
+    sizes = _guarded_sizes(spec, config)
     nz = np.concatenate([np.arange(sum(sizes[:i]), sum(sizes[:i + 1]))
                          for i in spec.keep])
     block = np.empty((nz.size, nz.size), dtype=complex)
     done = 0
-    for i in spec.keep:
-        for lo in range(0, sizes[i], 64):
-            hi = min(lo + 64, sizes[i])
+    for i, lo, hi in _column_chunks(sizes):
+        if i in spec.keep:
             block[:, done:done + hi - lo] = _block_inverse(
                 sizes, i, config.bloch, lo, hi)[nz]
             done += hi - lo
     return block
 
 
+def _open_columns(spec: BakerSpec,
+                  config: QuantizationConfig) -> Iterator[np.ndarray]:
+    """M's columns, left to right, as the N x 64 (or narrower)
+    _column_chunks chunks: a kept block's from _block_inverse, a removed
+    block's +0.0.
+
+    Joined, they are quantize_open(spec, config).open_map.matrix bit for
+    bit; each chunk is a new array, so a consumer holds one at a time.
+    """
+    sizes = _guarded_sizes(spec, config)
+    for i, lo, hi in _column_chunks(sizes):
+        yield (_block_inverse(sizes, i, config.bloch, lo, hi) if i in spec.keep
+               else np.zeros((config.dimension, hi - lo), dtype=complex))
+
+
 def quantize_open(spec: BakerSpec, config: QuantizationConfig) -> OpenQuantization:
     """M = U Pi, built on the kept blocks' columns only (the rest hold +0)."""
-    N = config.dimension
-    if N > DENSE_GUARD:
-        raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
-    sizes = _block_sizes(spec, N)
+    sizes = _guarded_sizes(spec, config)
     diag = np.repeat([float(i in spec.keep) for i in range(len(sizes))], sizes)
     open_map = QuantizedMap(_block_columns(sizes, spec.keep, config.bloch),
                             "open_standard", spec_digest(spec), spec.keep, sizes,

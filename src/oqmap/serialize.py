@@ -155,20 +155,32 @@ def write_json(path: PathLike, payload) -> Path:
 # matrices
 # ---------------------------------------------------------------------------
 
-def write_matrix(path: PathLike, matrix: np.ndarray) -> Path:
-    """Binary dump: magic, u64 rows, u64 cols, column-major (re, im) f64."""
+def write_matrix(path: PathLike,
+                 matrix: Union[np.ndarray, Iterable[np.ndarray]]) -> Path:
+    """Binary dump: magic, u64 rows, u64 cols, column-major (re, im) f64.
+
+    matrix is a 2-D array, or its column blocks left to right, each a 2-D
+    array with the same row count.  Blocks are written as they come, one
+    column-major copy at a time, so an iterator of them is never joined;
+    the header is written last, once the column count is known.
+    """
     import numpy as np
 
-    M = np.asarray(matrix, dtype=complex)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {M.shape}")
-    rows, cols = M.shape
+    blocks = [matrix] if isinstance(matrix, np.ndarray) else matrix
+    rows, cols = None, 0
     path = Path(path)
     with path.open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQ", rows, cols))
-        # one column-major copy; each complex128 is its (re, im) pair
-        fh.write(np.ascontiguousarray(M.T, dtype="<c16"))
+        fh.write(MAGIC + bytes(16))  # the counts, filled in below
+        for block in blocks:
+            B = np.asarray(block, dtype=complex)
+            if B.ndim != 2 or rows not in (None, B.shape[0]):
+                raise ValueError(f"expected 2-D blocks of one row count, "
+                                 f"got shape {B.shape} after {rows} rows")
+            rows, cols = B.shape[0], cols + B.shape[1]
+            # each complex128 is its (re, im) pair
+            fh.write(np.ascontiguousarray(B.T, dtype="<c16"))
+        fh.seek(len(MAGIC))
+        fh.write(struct.pack("<QQ", rows or 0, cols))
     return path
 
 

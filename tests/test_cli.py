@@ -40,11 +40,27 @@ from oqmap.cli import (
     parse_dimensions,
     parse_float_grid,
     parse_keep,
+    parse_partition,
     parse_rational,
 )
-from oqmap.classical import INTERVAL_GUARD
+from oqmap.classical import (
+    INTERVAL_GUARD,
+    cantor_dimension,
+    thermo_report,
+    validate_spec,
+)
 from oqmap.errors import NumericalError, ValidationError
-from oqmap.serialize import read_matrix, sha256_file, write_spectrum_csv
+from oqmap.serialize import (
+    fmt_float,
+    read_matrix,
+    sha256_file,
+    write_counts_csv,
+    write_lines,
+    write_matrix,
+    write_matrix_csv,
+    write_spectrum_csv,
+)
+from oqmap.spectral import count_profile
 
 from conftest import use_removed_digit_core
 from test_acceptance import CLI_RUNS
@@ -438,10 +454,118 @@ class TestSweep:
         monkeypatch.setattr(oqmap.cli, "_usable_cores", lambda: 3)
         spec = symmetric_spec(3, (0, 2))
         for dims in ([9, 27, 18, 3], [6, 3]):
+            # each measure sees M's N eigenvalues, its kept block's and
+            # N - |nz| zeros
             samples = oqmap.cli._sweep(spec, dims, (0.0, 0.0), len)
-            assert samples == [(N, 2 * N // 3) for N in dims]
+            assert samples == [(N, N) for N in dims]
         assert [pool._max_workers for pool in pools] == [3, 2]
         assert [pool.submitted for pool in pools] == [[27, 18, 9, 3], [6, 3]]
+
+
+# spec, N of spectrum and count, dimension range of the sweeps; D3 N=243
+# puts a 64-column chunk boundary inside each block of 81 columns, and
+# N=64 writes the matrix CSV
+DENSE_ORACLE_CASES = {
+    "D3-27": (D3, 27, "9:27:9"),
+    "D3": (D3, 243, "27:243:27"),
+    "D5": (D5, 250, "50:250:25"),
+    "asym": (["--partition", "0,1/2,3/4,1", "--keep", "0,2"], 64, "4:64:4"),
+}
+
+
+class TestDenseOracle:
+    """spectrum, count, radius-scan and weyl-fit solve M's kept block and
+    stream the dumped matrix in chunks; every output is what the same
+    writers give on the dense path, eigen_decompose(quantize_open(...))."""
+
+    @pytest.mark.parametrize("bloch", ["0,0", "0.3,0.7"])
+    @pytest.mark.parametrize("tag", sorted(DENSE_ORACLE_CASES))
+    def test_outputs_equal_the_dense_path(self, tmp_path, tag, bloch):
+        spec_argv, N, dims = DENSE_ORACLE_CASES[tag]
+        argvs = {
+            "spectrum": ["spectrum", *spec_argv, "--N", N, "--dump-matrix"],
+            "count": ["count", *spec_argv, "--N", N],
+            "radius-scan": ["radius-scan", *spec_argv, "--N", dims],
+            "weyl-fit": ["weyl-fit", *spec_argv, "--N", dims, "--radius", "0.5"],
+        }
+        for name, argv in argvs.items():
+            assert run([*argv, "--bloch", bloch, "--outdir", tmp_path / name]) == 0
+        spec = validate_spec(parse_partition(spec_argv[1], False),
+                             parse_keep(spec_argv[3]))
+        theta = parse_bloch(bloch)
+
+        def dense(n):
+            qmap = quantize_open(spec, QuantizationConfig(n, theta)).open_map
+            return qmap.matrix, eigen_decompose(qmap)
+
+        want = tmp_path / "dense"
+        want.mkdir()
+        M, spectrum = dense(N)
+        report = count_profile(spectrum, parse_float_grid("0.05:1.0:20"),
+                               cantor_dimension(spec))
+        thermo = thermo_report(spec)
+        bounds = f"{fmt_float(thermo.g_half)},{fmt_float(thermo.g_cl)}"
+        scan, samples = ["N,r_sp,g_half,g_cl"], ["N,count"]
+        for n in parse_dimensions(dims):
+            moduli = np.abs(dense(n)[1].eigenvalues)
+            scan.append(f"{n},{fmt_float(moduli.max())},{bounds}")
+            samples.append(f"{n},{np.count_nonzero(moduli >= 0.5)}")
+        expected = {
+            "spectrum/spectrum.csv": write_spectrum_csv(
+                want / "spectrum.csv", spectrum.eigenvalues),
+            "spectrum/spectrum_matrix.bin": write_matrix(
+                want / "spectrum_matrix.bin", M),
+            "count/count.csv": write_counts_csv(
+                want / "count.csv", report.radii, report.counts,
+                report.rescaled),
+            "radius-scan/radius_scan.csv": write_lines(
+                want / "radius_scan.csv", scan),
+            "weyl-fit/weyl_fit_samples.csv": write_lines(
+                want / "weyl_fit_samples.csv", samples),
+        }
+        if N <= 64:
+            expected["spectrum/spectrum_matrix.csv"] = write_matrix_csv(
+                want / "spectrum_matrix.csv", M)
+        for name, path in expected.items():
+            assert (tmp_path / name).read_bytes() == path.read_bytes(), name
+        assert (tmp_path / "spectrum" / "spectrum_matrix.csv").exists() \
+            == (N <= 64)
+        for name in ("spectrum/spectrum.json", "count/count.json"):
+            got = load(tmp_path / name)["backward_error"]
+            assert abs(got - spectrum.backward_error) \
+                <= 1e-14 * spectrum.backward_error, name
+        assert load(tmp_path / "spectrum" / "spectrum.json")[
+            "spectral_radius"] == report.spectral_radius
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", *D3, "--N", "972", "--dump-matrix"],
+        ["count", *D3, "--N", "972"],
+    ], ids=lambda argv: argv[0])
+    def test_peak_stays_below_one_dense_map(self, tmp_path, argv):
+        # the kept block, 16 |nz|^2 = 0.44 x 16 N^2, N x 64 transients and
+        # the eigenvalues; the dense path held the N x N map and its
+        # column-major copy for the dump
+        argv = [*argv, "--bloch", "0.3,0.7"]
+        assert run([*argv, "--outdir", tmp_path / "warm"]) == 0  # FFT plans
+        tracemalloc.start()
+        try:
+            status = run([*argv, "--outdir", tmp_path / "traced"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert peak < 0.65 * 16 * 972 ** 2
+
+    @pytest.mark.parametrize("bloch", ["0,0", "0.3,0.7"])
+    def test_weyl_fit_sample_is_the_count(self, tmp_path, bloch):
+        fit, count = tmp_path / "fit", tmp_path / "count"
+        assert run(["weyl-fit", *D3, "--N", "81:243:81", "--radius", "0.5",
+                    "--bloch", bloch, "--outdir", fit]) == 0
+        assert run(["count", *D3, "--N", "243", "--r-grid", "0.5:0.5:1",
+                    "--bloch", bloch, "--outdir", count]) == 0
+        sample = (fit / "weyl_fit_samples.csv").read_text().splitlines()[-1]
+        row = (count / "count.csv").read_text().splitlines()[1]
+        assert sample == "243," + row.split(",")[1]
 
 
 # the four benchmark specs at small k, and D4 keep (0, 2): its OmegaTilde
@@ -817,6 +941,24 @@ def test_manifest_lists_every_output(tmp_path, name, argv):
         assert entry["bytes"] == (tmp_path / fname).stat().st_size
 
 
+def test_manifest_records_the_numpy_build(tmp_path, monkeypatch):
+    def build(name):
+        doc = load(tmp_path / name / f"{name}_manifest.json")
+        return [doc[key] for key in ("numpy_version", "blas_name",
+                                     "blas_version")]
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert run(["count", *D3, "--N", "27", "--outdir", tmp_path / "count"]) == 0
+    assert build("count") == [np.__version__, blas["name"], blas["version"]]
+    # the exact commands load no numpy, so they name no build
+    assert run(["thermo", *D3, "--outdir", tmp_path / "thermo"]) == 0
+    assert build("thermo") == [None, None, None]
+    # numpy < 1.26 has show_config() but no dicts mode to read the BLAS from
+    monkeypatch.setattr(np, "show_config", lambda: None)
+    assert run(["count", *D3, "--N", "27", "--outdir", tmp_path / "count"]) == 0
+    assert build("count") == [np.__version__, None, None]
+
+
 def test_package_reexports_each_module_all():
     modules = (classical, errors, phasespace, quantize, spectral)
     names = oqmap.__all__
@@ -964,16 +1106,16 @@ import sys, oqmap.cli
 from oqmap.errors import ValidationError
 
 def patched(*args, **kwargs):
-    raise ValidationError("patched quantize_open")
+    raise ValidationError("patched _kept_block")
 
-oqmap.cli.quantize_open = patched
+oqmap.cli._kept_block = patched
 print(oqmap.cli.main(sys.argv[1:]))
-print(oqmap.cli.quantize_open is patched)
+print(oqmap.cli._kept_block is patched)
 """
     result = fresh_python(code, "spectrum", *D3, "--N", "9", "--outdir",
                           str(tmp_path))
     assert result.stdout.split() == ["2", "True"]
-    assert "patched quantize_open" in result.stderr
+    assert "patched _kept_block" in result.stderr
 
 
 def test_parse_dimensions_before_any_command():
@@ -992,7 +1134,8 @@ CLI_LAYER_NAMES = {
     phasespace: ("CoherentFrame", "_validate_grid", "husimi_report",
                  "merged_strip_cover"),
     quantize: ("DENSE_GUARD", "QuantizationConfig", "_block_sizes",
-               "_kept_block", "_phase_factors", "quantize_open", "walsh_open"),
+               "_kept_block", "_open_columns", "_phase_factors",
+               "quantize_open", "walsh_open"),
     oqmap.serialize: ("fmt_float", "sha256_file", "write_counts_csv",
                       "write_husimi_csv", "write_husimi_pgm",
                       "write_intervals_csv", "write_json", "write_lines",

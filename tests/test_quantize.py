@@ -50,6 +50,7 @@ from oqmap.quantize import (
     _block_inverse,
     _gdft_apply,
     _kept_block,
+    _open_columns,
 )
 
 from conftest import (
@@ -373,8 +374,9 @@ class TestKeptColumnBuild:
 
 
 class TestKeptBlock:
-    """_kept_block is M[nz, nz] on the kept indices nz, built from the
-    same inverse transforms as quantize_open without an N x N array."""
+    """_kept_block is M[nz, nz] on the kept indices nz, and _open_columns
+    M's columns in chunks, built from the same inverse transforms as
+    quantize_open without an N x N array."""
 
     @pytest.mark.parametrize("tag,N", [*BUILD_CASES, ("D3", 162), ("D5", 250),
                                        ("asym", 12)])
@@ -388,6 +390,10 @@ class TestKeptBlock:
             got = _kept_block(get_spec(tag), config)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            # the removed columns' +0.0 included
+            chunks = list(_open_columns(get_spec(tag), config))
+            assert all(c.shape[0] == N and c.shape[1] <= 64 for c in chunks)
+            assert np.hstack(chunks).tobytes() == quant.open_map.matrix.tobytes()
 
     @pytest.mark.parametrize("width", [1, 7, 64, 1000])
     def test_column_chunks_move_no_bit(self, width):

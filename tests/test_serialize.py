@@ -323,6 +323,26 @@ class TestMatrixWriterOracle:
         assert path.read_bytes() == interleaved_matrix_bytes(M)
         assert read_matrix(path).shape == (3, 0)
 
+    @pytest.mark.parametrize("widths", [[8], [3, 5], [1, 0, 2, 5], [0, 8]])
+    def test_column_blocks_write_the_joined_matrix(self, tmp_path, widths):
+        M = special_matrix()
+        edges = np.cumsum([0, *widths])
+        blocks = (M[:, lo:hi] for lo, hi in zip(edges, edges[1:]))
+        path = write_matrix(tmp_path / "m.bin", blocks)
+        assert path.read_bytes() == interleaved_matrix_bytes(M)
+
+    def test_column_blocks_need_one_row_count(self, tmp_path):
+        blocks = iter([np.zeros((3, 2)), np.zeros((4, 2))])
+        with pytest.raises(ValueError, match="one row count"):
+            write_matrix(tmp_path / "m.bin", blocks)
+        with pytest.raises(ValueError, match="one row count"):
+            write_matrix(tmp_path / "m.bin", iter([np.zeros(3)]))
+
+    def test_no_column_blocks(self, tmp_path):
+        path = write_matrix(tmp_path / "m.bin", iter([]))
+        assert path.read_bytes() == MAGIC + struct.pack("<QQ", 0, 0)
+        assert read_matrix(path).shape == (0, 0)
+
 
 class TestCsvSchemas:
     def test_matrix_csv(self, tmp_path):
