@@ -13,9 +13,9 @@ row and column counts, then the entries column-major as interleaved
 (re, im) float64 pairs.  The Husimi PGM is a logarithmic grey scale
 over the fixed dynamic range _PGM_DYNAMIC_RANGE = 1e-12.
 
-Only the matrix and PGM writers and the reader import numpy, and
-json_ready does so only for a value that is not a plain Python type or
-a Fraction, so writing an exact report loads no numpy.
+Only the matrix and PGM writers and the reader import numpy, and the
+JSON writer does so only for a value that is not a plain Python type, a
+dataclass or a Fraction, so writing an exact report loads no numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "fmt_float",
     "fraction_to_json",
     "fraction_from_json",
-    "json_ready",
     "write_json",
     "write_lines",
     "write_matrix",
@@ -73,8 +72,16 @@ def fraction_from_json(obj: dict) -> Fraction:
     return Fraction(obj["num"], obj["den"])
 
 
-def json_ready(obj):
-    """Recursively convert reports to plain JSON types.
+def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
+    """UTF-8 text, each line ended by LF."""
+    path = Path(path)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """A report value as the text json.dumps(..., sort_keys=True, indent=2)
+    gives for its plain-type equivalent, floats as float.__repr__.
 
     Fractions become {"num","den"}, complex numbers {"re","im"}, numpy
     scalars and arrays their Python equivalents, dataclasses dicts.
@@ -84,50 +91,10 @@ def json_ready(obj):
     # lookup per value, then the containers and their subclasses
     kind = type(obj)
     if kind is float:
-        return obj if math.isfinite(obj) else fmt_float(obj)
+        return float.__repr__(obj) if math.isfinite(obj) else f'"{fmt_float(obj)}"'
     if kind is int or kind is str or kind is bool or obj is None:
-        return obj
+        return json.dumps(obj, allow_nan=False)
     if isinstance(obj, (list, tuple)):
-        return [json_ready(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return json_ready(asdict(obj))
-    if isinstance(obj, Fraction):
-        return fraction_to_json(obj)
-    import numpy as np  # only numeric commands hand over other values
-
-    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        return {"re": json_ready(float(obj.real)),
-                "im": json_ready(float(obj.imag))}
-    # np.floating stays here: longdouble.item() returns a longdouble
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        return value if math.isfinite(value) else fmt_float(value)
-    if isinstance(obj, np.generic):
-        return json_ready(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [json_ready(x) for x in obj.tolist()]
-    return obj
-
-
-def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
-    """UTF-8 text, each line ended by LF."""
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def _json_text(obj, pad: str = "") -> str:
-    """The text json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    gives for a json_ready value, floats as float.__repr__."""
-    kind = type(obj)
-    if kind is float:
-        if not math.isfinite(obj):
-            raise ValueError(
-                f"Out of range float values are not JSON compliant: {obj!r}")
-        return float.__repr__(obj)
-    if kind is list:
         if not obj:
             return "[]"
         inner = pad + "  "
@@ -135,20 +102,35 @@ def _json_text(obj, pad: str = "") -> str:
         items = [float.__repr__(x) if type(x) is float and math.isfinite(x)
                  else _json_text(x, inner) for x in obj]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if kind is dict:
+    if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
-        items = [json.dumps(key) + ": " + _json_text(obj[key], inner)
-                 for key in sorted(obj)]
+        # keys as str(k): of keys that collide, the later one's value wins
+        texts = {str(k): _json_text(v, inner) for k, v in obj.items()}
+        items = [json.dumps(key) + ": " + texts[key] for key in sorted(texts)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    # str, int, bool and None keep json's escaping; other types raise TypeError
-    return json.dumps(obj, allow_nan=False)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _json_text(asdict(obj), pad)
+    if isinstance(obj, Fraction):
+        return _json_text(fraction_to_json(obj), pad)
+    import numpy as np  # only numeric commands hand over other values
+
+    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
+        return _json_text({"re": float(obj.real), "im": float(obj.imag)}, pad)
+    # np.floating stays here: longdouble.item() returns a longdouble
+    if isinstance(obj, (float, np.floating)):
+        return _json_text(float(obj))
+    if isinstance(obj, np.generic):
+        return _json_text(obj.item(), pad)
+    if isinstance(obj, np.ndarray):
+        return _json_text(obj.tolist(), pad)
+    return json.dumps(obj, allow_nan=False)  # other types raise TypeError
 
 
 def write_json(path: PathLike, payload) -> Path:
-    """Strict JSON: a NaN or Infinity that json_ready missed raises."""
-    return write_lines(path, [_json_text(json_ready(payload))])
+    """Strict JSON: no bare NaN or Infinity token is ever written."""
+    return write_lines(path, [_json_text(payload)])
 
 
 # ---------------------------------------------------------------------------

@@ -385,12 +385,11 @@ def _split(M: np.ndarray, projector: np.ndarray):
     return Q.conj().T @ M @ Q, np.arange(rank), np.arange(rank, N)
 
 
-def _blocks(M: np.ndarray, projector: np.ndarray):
-    """Blocks (A, B, C, D) = (M[P, P], M[P, J], M[J, P], M[J, J]) of M in
-    the ran(Pi) + ker(Pi) splitting, cut to the bulk indices J whose
+def _blocks(M: np.ndarray, kept: np.ndarray, rest: np.ndarray):
+    """Blocks (A, B, C, D) = (M[P, P], M[P, J], M[J, P], M[J, J]) of a
+    split map M (see :func:`_split`), cut to the bulk indices J whose
     column of M is nonzero on any row: a bulk column that is zero on the
     bulk rows alone still feeds B, so it stays in J."""
-    M, kept, rest = _split(M, projector)
     J = np.intersect1d(rest, _nonzero_columns(M))
     return (M[np.ix_(kept, kept)], M[np.ix_(kept, J)],
             M[np.ix_(J, kept)], M[np.ix_(J, J)])
@@ -568,8 +567,13 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     _check_m_max(m_max)
     M = _as_matrix(matrix)
     N = M.shape[0]
-    A, B, C, D = _blocks(M, projector)
+    # one split serves the blocks and the residual audit, whose 0/1
+    # diagonal in the split basis leaves the split map as it is
+    split, kept, rest = _split(M, projector)
+    A, B, C, D = _blocks(split, kept, rest)
     rank = A.shape[0]
+    diagonal = np.zeros(N)
+    diagonal[kept] = 1.0
 
     # the bulk radius and det(I - D/lam) are those of the cut block D
     r_bulk = float(np.abs(np.linalg.eigvals(D)).max(initial=0.0))
@@ -656,6 +660,6 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
         match_distances=distances,
         unmatched=len(unmatched_ref),
         clustered=clustered,
-        residual_norms=residual_decay(M, projector, m_max),
+        residual_norms=residual_decay(split, diagonal, m_max),
         match_tol=match_tol,
     )

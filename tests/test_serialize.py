@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import oqmap.serialize
 from oqmap import HusimiField, Intervals, escape_report, validate_spec
 from oqmap.cli import main
 from oqmap.serialize import (
@@ -24,7 +23,6 @@ from oqmap.serialize import (
     fmt_float,
     fraction_from_json,
     fraction_to_json,
-    json_ready,
     read_matrix,
     sha256_file,
     write_counts_csv,
@@ -57,34 +55,59 @@ class TestScalars:
         assert fraction_to_json(Fraction(2, 6)) == {"num": 1, "den": 3}
 
 
+def refuse_constant(token):
+    raise ValueError(f"bare {token} token in strict JSON")
+
+
+def written(tmp_path, payload):
+    """The value write_json's file parses to, refusing NaN and Infinity."""
+    path = write_json(tmp_path / "x.json", payload)
+    return json.loads(path.read_text(), parse_constant=refuse_constant)
+
+
+@dataclass
+class Lifetime:
+    value: float
+
+
 class TestJsonReady:
-    def test_complex_and_fraction(self):
-        out = json_ready({"z": 1 + 2j, "q": Fraction(1, 3)})
+    """Report values as write_json writes them."""
+
+    def test_complex_and_fraction(self, tmp_path):
+        out = written(tmp_path, {"z": 1 + 2j, "q": Fraction(1, 3)})
         assert out == {"z": {"re": 1.0, "im": 2.0}, "q": {"num": 1, "den": 3}}
 
-    def test_numpy_scalars_and_arrays(self):
-        out = json_ready({"f": np.float64(0.5), "i": np.int64(4),
-                          "a": np.array([1.0, 2.0])})
+    def test_numpy_scalars_and_arrays(self, tmp_path):
+        out = written(tmp_path, {"f": np.float64(0.5), "i": np.int64(4),
+                                 "a": np.array([1.0, 2.0])})
         assert out == {"f": 0.5, "i": 4, "a": [1.0, 2.0]}
         assert isinstance(out["i"], int)
 
-    def test_complex_array(self):
-        out = json_ready(np.array([1j]))
+    def test_complex_array(self, tmp_path):
+        out = written(tmp_path, np.array([1j]))
         assert out == [{"re": 0.0, "im": 1.0}]
 
-    def test_non_finite_floats_become_strings(self):
-        out = json_ready({"p": math.inf, "m": np.float64(-np.inf),
-                          "n": math.nan, "z": complex(math.inf, math.nan)})
+    def test_non_finite_floats_become_strings(self, tmp_path):
+        out = written(tmp_path, {"p": math.inf, "m": np.float64(-np.inf),
+                                 "n": math.nan, "z": complex(math.inf, math.nan)})
         assert out == {"p": "inf", "m": "-inf", "n": "nan",
                        "z": {"re": "inf", "im": "nan"}}
 
-    def test_write_json_is_strict(self, tmp_path, monkeypatch):
-        path = write_json(tmp_path / "x.json", {"t": [math.inf, 1.5]})
-        assert json.loads(path.read_text()) == {"t": ["inf", 1.5]}
-        # a value the mapping misses raises instead of writing Infinity
-        monkeypatch.setattr(oqmap.serialize, "json_ready", lambda obj: obj)
-        with pytest.raises(ValueError):
-            write_json(tmp_path / "y.json", {"t": math.inf})
+    def test_write_json_is_strict(self, tmp_path):
+        # every position a report can hold a non-finite float in
+        for value, text in ((math.inf, "inf"), (-math.inf, "-inf"),
+                            (math.nan, "nan")):
+            out = written(tmp_path, {
+                "bare": value, "list": [1.5, value], "dict": {"v": value},
+                "numpy": np.float32(value), "complex": complex(value, 0.5),
+                "dataclass": Lifetime(value), "array": np.array([value, 0.25]),
+            })
+            assert out == {
+                "bare": text, "list": [1.5, text], "dict": {"v": text},
+                "numpy": text, "complex": {"re": text, "im": 0.5},
+                "dataclass": {"value": text}, "array": [text, 0.25],
+            }
+            assert written(tmp_path, value) == text
 
     def test_golden_json_bytes(self, tmp_path):
         path = write_json(tmp_path / "x.json",
@@ -107,7 +130,8 @@ class TestJsonReady:
 
 
 def old_json_ready(obj):
-    """The isinstance chain json_ready used before its exact-type dispatch."""
+    """The isinstance chain that made a report plain before write_json
+    dispatched on exact types and walked it once."""
     if is_dataclass(obj) and not isinstance(obj, type):
         return old_json_ready(asdict(obj))
     if isinstance(obj, Fraction):
@@ -157,6 +181,8 @@ def every_type_payload():
         "tuple": (1, 2.0, "three", (4,)),
         "größe ✓": "naïve \u00e9 \U0001F600 \"quoted\" back\\slash\n\ttab \x00",
         "keys": {10: "ten", 3: "three", 2.5: "float key", "": "empty key"},
+        # str(k) collides: the later value wins
+        "collide": {1: "int one", "1": "str one", "2": "str two", 2: "int two"},
         "ints": [0, -1, 2**64 + 1, -(3**80), 10**300],
         "bools": [True, False],
         "none": None,
@@ -185,9 +211,29 @@ plain_json = st.recursive(
     max_leaves=40)
 
 
+numpy_scalars = st.one_of(
+    st.floats(width=16).map(np.float16), st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64), st.floats().map(np.longdouble),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.complex_numbers(width=64).map(np.complex64),
+    st.complex_numbers().map(np.complex128))
+
+mixed_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | numpy_scalars | st.fractions() | st.complex_numbers()
+    | st.lists(st.floats(), max_size=4).map(np.array),
+    lambda children: (st.lists(children, max_size=6)
+                      | st.lists(children, max_size=6).map(tuple)
+                      | st.dictionaries(st.text(max_size=6) | st.integers(),
+                                        children, max_size=6)),
+    max_leaves=40)
+
+
 class TestJsonWriterOracle:
-    """write_json dispatches on exact types and emits the text itself; its
-    bytes must equal those of json.dumps over the old isinstance chain."""
+    """write_json turns a report into its text in one walk that dispatches
+    on exact types; its bytes must equal those of json.dumps over the old
+    isinstance chain."""
 
     def test_every_accepted_type(self, tmp_path):
         payload = every_type_payload()
@@ -201,26 +247,26 @@ class TestJsonWriterOracle:
                           {"payload": payload})
         assert path.read_bytes() == old_json_bytes({"payload": payload})
 
-    @pytest.mark.parametrize("value", [
-        math.inf, -math.inf, math.nan, [1.5, math.nan], {"a": {"b": -math.inf}},
-    ], ids=["inf", "-inf", "nan", "nan in list", "-inf in dict"])
-    def test_bare_non_finite_raises(self, tmp_path, monkeypatch, value):
-        monkeypatch.setattr(oqmap.serialize, "json_ready", lambda obj: obj)
-        with pytest.raises(ValueError):
-            write_json(tmp_path / "x.json", value)
-        assert not (tmp_path / "x.json").exists()
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_json)
+    def test_mixed_payload(self, tmp_path_factory, payload):
+        path = write_json(tmp_path_factory.mktemp("json") / "x.json",
+                          {"payload": payload})
+        assert path.read_bytes() == old_json_bytes({"payload": payload})
 
     def test_numpy_bool_and_str(self, tmp_path):
         # the old chain passed these through, and json.dumps refused them
-        out = json_ready({"t": np.bool_(True), "s": np.str_("a")})
-        assert out == {"t": True, "s": "a"}
-        assert type(out["t"]) is bool and type(out["s"]) is str
+        path = write_json(tmp_path / "x.json",
+                          {"t": np.bool_(True), "s": np.str_("a")})
+        assert path.read_text() == '{\n  "s": "a",\n  "t": true\n}\n'
         path = write_json(tmp_path / "x.json", [np.bool_(False)])
         assert path.read_text() == "[\n  false\n]\n"
 
     def test_unknown_type_raises(self, tmp_path):
         with pytest.raises(TypeError):
             write_json(tmp_path / "x.json", {"s": {1, 2}})
+        # a failed write leaves no file behind
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestBinaryMatrix:

@@ -34,7 +34,6 @@ from oqmap.errors import (
 )
 import oqmap.spectral
 from oqmap.spectral import (
-    _blocks,
     _core,
     _effective_pieces,
     _split,
@@ -316,7 +315,7 @@ class TestEffectiveHamiltonian:
         assert report.max_identity_rel_error <= 1e-12
         assert report.unmatched == 0
         # a full projector leaves the cut bulk empty
-        assert _blocks(M, np.ones(2))[3].shape == (0, 0)
+        assert cut_blocks(M, np.ones(2))[3].shape == (0, 0)
 
     def test_identity_random_mixed_blocks(self, rng):
         # spec example: modest random matrix, rank-3 orthoprojector,
@@ -543,6 +542,18 @@ def projector_split(projector):
     return None, None, vectors[:, values > 0.5], vectors[:, values <= 0.5]
 
 
+def cut_blocks(matrix, projector):
+    """The library's cut blocks (A, B, C, D) of a map and a projector."""
+    return oqmap.spectral._blocks(*_split(np.asarray(matrix), projector))
+
+
+def uncut_blocks(M, kept, rest):
+    """_blocks without the cut: the bulk D is the whole kernel block of
+    the split map M."""
+    return (M[np.ix_(kept, kept)], M[np.ix_(kept, rest)],
+            M[np.ix_(rest, kept)], M[np.ix_(rest, rest)])
+
+
 def full_blocks(matrix, projector):
     """Uncut blocks (A, B, C, D): the bulk D is the whole kernel block,
     by index slicing for a diagonal projector or through the bases (V, W)
@@ -550,16 +561,14 @@ def full_blocks(matrix, projector):
     M = np.asarray(getattr(matrix, "matrix", matrix))
     kept, rest, V, W = projector_split(projector)
     if V is None:
-        return (M[np.ix_(kept, kept)], M[np.ix_(kept, rest)],
-                M[np.ix_(rest, kept)], M[np.ix_(rest, rest)])
+        return uncut_blocks(M, kept, rest)
     Vh, Wh = V.conj().T, W.conj().T
     return Vh @ M @ V, Vh @ M @ W, Wh @ M @ V, Wh @ M @ W
 
 
-def bulk_columns_blocks(matrix, projector):
+def bulk_columns_blocks(M, kept, rest):
     """Mutant _blocks: J from the columns of the bulk block alone, so a
     bulk column that is nonzero only on kept rows is dropped from B."""
-    M, kept, rest = _split(matrix, projector)
     J = rest[np.any(M[np.ix_(rest, rest)] != 0, axis=0)]
     return (M[np.ix_(kept, kept)], M[np.ix_(kept, J)],
             M[np.ix_(J, kept)], M[np.ix_(J, J)])
@@ -625,7 +634,7 @@ def assert_close(got, want, rtol=1e-12):
 def pieces_error(M, projector, lams=(1.5, 0.9 * np.exp(0.7j), 0.55 + 0.05j)):
     """Worst relative deviation of E and dE on the library's cut blocks
     from the full-inverse forms on the uncut blocks."""
-    cut, full = oqmap.spectral._blocks(M, projector), full_blocks(M, projector)
+    cut, full = cut_blocks(M, projector), full_blocks(M, projector)
     worst = 0.0
     for lam in lams:
         E, dE = _effective_pieces(*cut, lam)
@@ -641,7 +650,7 @@ def pieces_error(M, projector, lams=(1.5, 0.9 * np.exp(0.7j), 0.55 + 0.05j)):
 class TestKeptColumns:
     def test_cases_cover_each_bulk_shape(self):
         # (|J|, full bulk size) of each case
-        sizes = {case: (_blocks(M, projector)[3].shape[0],
+        sizes = {case: (cut_blocks(M, projector)[3].shape[0],
                         full_blocks(M, projector)[3].shape[0])
                  for case, (M, projector, _) in CASES.items()}
         J, nb = sizes["quasiprojector"]
@@ -678,7 +687,7 @@ class TestKeptColumns:
         probes = probe_ring(1.5, 6)
         got = effective_hamiltonian(M, projector, probes, radius)
         # the want report never sees the cut
-        monkeypatch.setattr(oqmap.spectral, "_blocks", full_blocks)
+        monkeypatch.setattr(oqmap.spectral, "_blocks", uncut_blocks)
         monkeypatch.setattr(oqmap.spectral, "_effective_pieces",
                             full_inverse_pieces)
         monkeypatch.setattr(oqmap.spectral, "residual_decay",
@@ -688,12 +697,14 @@ class TestKeptColumns:
         assert got.outer_eigenvalues  # every case has roots to refine
         assert_close(got.refined_roots, want.refined_roots)
         assert_close(got.residual_norms, want.residual_norms)
+        # and against full powers of the caller's own (M, projector)
+        assert_close(got.residual_norms, full_power_residual_decay(M, projector))
         assert got.unmatched == want.unmatched == 0
         # the bulk radius against the full bulk's eigenvalues, by Sylvester
         r_bulk = want.bulk_spectral_radius
         assert abs(got.bulk_spectral_radius - r_bulk) <= 1e-12 * max(r_bulk, 1e-3)
         # det E and det(I - D/lam) of the cut blocks against the uncut ones
-        cut, full = _blocks(M, projector), full_blocks(M, projector)
+        cut, full = cut_blocks(M, projector), full_blocks(M, projector)
         for lam in probes:
             det_e = np.linalg.det(_effective_pieces(*cut, lam, False)[0])
             want_e = np.linalg.det(full_inverse_pieces(*full, lam)[0])
@@ -706,14 +717,31 @@ class TestKeptColumns:
 
     def test_m_max_checked_before_any_work(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("blocks formed before m_max was checked")
+            raise AssertionError("projector split before m_max was checked")
 
-        monkeypatch.setattr(oqmap.spectral, "_blocks", unreachable)
+        monkeypatch.setattr(oqmap.spectral, "_split", unreachable)
         with pytest.raises(ValueError, match="m_max"):
             effective_hamiltonian(np.eye(4), np.ones(4), probe_ring(2.0), 1.5,
                                   m_max=13)
         with pytest.raises(ValueError, match="finite square"):
             effective_hamiltonian(np.eye(4), np.ones(4), probe_ring(1e200), 1.5)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_projector_is_split_once(self, case, monkeypatch):
+        M, projector, radius = CASES[case]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        report = effective_hamiltonian(M, projector, probe_ring(1.5, 6), radius)
+        # one eigh for a matrix projector, none for a diagonal one
+        assert calls == ([projector.shape] if projector.ndim == 2 else [])
+        # the audit on the split map gives the bits of the caller's split
+        assert report.residual_norms == residual_decay(M, projector)
 
 
 class TestMatchSpectra:
