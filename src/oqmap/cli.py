@@ -19,11 +19,14 @@ only where no exact-arithmetic guarantee is at stake (purely spectral
 commands), and are parsed as exact decimal fractions, never binary
 floats.  Dimension ranges use start:stop:step (stop inclusive); values
 failing the N*ell_i divisibility requirement are skipped and listed in
-the manifest.  The eigenvalue-only commands (spectrum, count,
-radius-scan, weyl-fit) solve M = U Pi through _open_spectrum, on its
-kept block M[nz, nz] alone, and spectrum --dump-matrix streams M in
-column chunks; only effective and husimi form the N x N map.  Sweeps
-over dimensions solve them concurrently, one per usable core.
+the manifest.  No command forms the N x N map M = U Pi: M vanishes off
+its kept columns nz, and every command reads it through those columns.
+The eigenvalue-only commands (spectrum, count, radius-scan, weyl-fit)
+solve it through _open_spectrum, on its kept block M[nz, nz] alone,
+husimi lifts one eigenvector of that block to M through _open_mode, and
+effective reduces the pair (nz, M[:, nz]).  spectrum --dump-matrix
+streams M in column chunks.  Sweeps over dimensions solve them
+concurrently, one per usable core.
 
 The exact classical commands (escape, thermo) run on the standard
 library alone: numpy and the numeric layers (quantize, spectral,
@@ -96,9 +99,9 @@ def _bind_numeric() -> None:
         QuantizationConfig,
         _block_sizes,
         _kept_block,
+        _kept_columns,
         _open_columns,
         _phase_factors,
-        quantize_open,
         walsh_open,
     )
     from .spectral import (
@@ -366,6 +369,58 @@ def _open_spectrum(spec: BakerSpec, config: QuantizationConfig) -> Spectrum:
                        math.sqrt(len(block)))
 
 
+def _lift_mode(v: np.ndarray, Mv: np.ndarray, value: complex,
+               rest: np.ndarray) -> None:
+    """Write M v / value into v's rows rest.
+
+    With v an eigenvector y of M[nz, nz] on the rows nz and zero on the
+    rest, this makes v one of M: M deflates in one sweep, since its
+    columns off nz are zero, so v[rest] = M[rest, nz] y / value.  An
+    eigenvalue that is exactly 0 keeps the zeros.
+    """
+    if value != 0:
+        v[rest] = Mv[rest] / value
+
+
+def _open_mode(spec: BakerSpec, config: QuantizationConfig, rank: int):
+    """(eigenvalue, unit mode, ||M mode - eigenvalue mode||_2, backward
+    error bound) of the eigenpair of M = U Pi at rank, in the descending
+    order of eigen_decompose, solved on the kept block M[nz, nz].
+
+    A rank below |nz| lifts the block's eigenvector by _lift_mode; the
+    others are M's exact zeros, and rank |nz| + i gets e_j for j the i-th
+    index off nz, as eigen_decompose of M orders its dropped indices.
+    The product M v = M[:, nz] v[nz], which the lift and the residual
+    share, takes one pass over the _kept_columns chunks.
+    """
+    block = _kept_block(spec, config)
+    spectrum = eigen_decompose(block, want_vectors=True)
+    N, k = config.dimension, len(block)
+    del block
+    nz, chunks = _kept_columns(spec, config)
+    rest = np.setdiff1d(np.arange(N), nz)
+    v = np.zeros(N, dtype=complex)
+    if rank < k:
+        value = complex(spectrum.eigenvalues[rank])
+        v[nz] = spectrum.vectors[:, rank]
+    else:
+        value = 0j
+        v[rest[rank - k]] = 1.0
+    del spectrum
+    y = v[nz]
+    Mv = np.zeros(N, dtype=complex)
+    done = 0
+    for chunk in chunks:
+        Mv += chunk @ y[done:done + chunk.shape[1]]
+        done += chunk.shape[1]
+    _lift_mode(v, Mv, value, rest)
+    norm = np.linalg.norm(v)
+    mode = v / norm
+    residual = float(np.linalg.norm(Mv / norm - value * mode))
+    # ||M||_F = sqrt(|nz|): M's columns nz are orthonormal columns of U
+    return value, mode, residual, _qr_bound(N, math.sqrt(k))
+
+
 def cmd_spectrum(args, out: Path):
     spec = _spec_from_args(args, allow_decimal=True)
     bloch = parse_bloch(args.bloch)
@@ -552,7 +607,8 @@ def cmd_walsh(args, out: Path):
 def cmd_effective(args, out: Path):
     if args.probe_count < 1:
         raise ValidationError(f"need at least one probe, got {args.probe_count}")
-    # each probe costs one full N x N slogdet, so the count is guarded too
+    # each probe costs a |nz| x |nz| slogdet and the bulk solves, so the
+    # count is guarded too
     if args.probe_count > DENSE_GUARD:
         raise DimensionGuard(f"probe count {args.probe_count} exceeds the "
                              f"dense guard {DENSE_GUARD}")
@@ -565,9 +621,10 @@ def cmd_effective(args, out: Path):
     config = QuantizationConfig(args.N, bloch)
     # the cover is cheap and exact: refuse a bad level before quantizing
     quasi = trapped_quasiprojector(spec, config, args.level)
-    qmap = quantize_open(spec, config).open_map
-    report = effective_hamiltonian(qmap, quasi.diagonal,
-                                   probes, args.radius, m_max=args.m_max)
+    nz, chunks = _kept_columns(spec, config)
+    report = effective_hamiltonian((nz, np.hstack(list(chunks))),
+                                   quasi.diagonal, probes, args.radius,
+                                   m_max=args.m_max)
     lines = ["index,eig_re,eig_im,root_re,root_im,distance"]
     for i, (eig, root) in enumerate(zip(report.outer_eigenvalues,
                                         report.refined_roots)):
@@ -610,15 +667,8 @@ def cmd_husimi(args, out: Path):
            else finite_float(args.thicken))
     # the cover is cheap and exact: refuse a bad level or thickening first
     cover = merged_strip_cover(spec, args.level, eps)
-    qmap = quantize_open(spec, config).open_map
-    spectrum = eigen_decompose(qmap, want_vectors=True)
-    mode = spectrum.vectors[:, args.mode_rank]
-    mode = mode / np.linalg.norm(mode)
-    eigenvalue = complex(spectrum.eigenvalues[args.mode_rank])
-    mode_residual = float(np.linalg.norm(qmap.matrix @ mode - eigenvalue * mode))
-    backward_error = spectrum.backward_error
-    # only this one mode is used below: free the map and the N x N vectors
-    del qmap, spectrum
+    eigenvalue, mode, mode_residual, backward_error = _open_mode(
+        spec, config, args.mode_rank)
 
     frame = CoherentFrame(args.N, bloch)
     report = husimi_report(mode, frame, args.grid, cover)

@@ -11,9 +11,10 @@ right by the 0/1 position projector Pi onto the kept rectangles:
 M_N = U_N Pi.  No Fourier matrix is formed: M_N = apply(I[:, nz]) on the
 kept columns nz at O(N |nz| log N), and U_N = apply(I) only on demand.
 A spectrum needs only M_N[nz, nz], which holds M_N's eigenvalues but
-N - |nz| exact zeros; _kept_block cuts it from the same applies, 64
-columns at a time, and _open_columns hands out M_N itself in those
-chunks, so only quantize_open forms the N x N array.
+N - |nz| exact zeros.  _kept_columns hands out M_N[:, nz] from the same
+applies, 64 columns at a time, _kept_block cuts M_N[nz, nz] from those
+chunks, and _open_columns hands out M_N itself in chunks, so only
+quantize_open forms the N x N array.
 M_N is a partial isometry: its singular values are exactly
 N*sum(ell_kept) ones and the rest zeros, so all eigenvalues lie in the
 closed unit disk and model resonances with lifetimes
@@ -215,24 +216,38 @@ def _column_chunks(sizes: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
             yield i, lo, min(lo + 64, size)
 
 
-def _kept_block(spec: BakerSpec, config: QuantizationConfig) -> np.ndarray:
-    """M[nz, nz] for the kept indices nz, ascending, without the N x N M.
+def _kept_columns(spec: BakerSpec, config: QuantizationConfig
+                  ) -> Tuple[np.ndarray, Iterator[np.ndarray]]:
+    """(nz, chunks): the kept indices nz, ascending, and M[:, nz] as the
+    N x 64 (or narrower) _column_chunks chunks of the kept blocks, left to
+    right, from _block_inverse.
 
-    M vanishes off its kept columns, so this block carries M's whole
-    spectrum but N - |nz| exact zeros.  Its columns are quantize_open's
-    block inverses, one _column_chunks chunk at a time, cut to the rows
-    nz: the entries are M's bit for bit, and the transients are N x 64.
+    M vanishes off its kept columns, so these chunks are all of M that is
+    not zero.  The guards run before the call returns; each chunk is a
+    new array, so a consumer that drops each one holds one at a time.
     """
     sizes = _guarded_sizes(spec, config)
     nz = np.concatenate([np.arange(sum(sizes[:i]), sum(sizes[:i + 1]))
                          for i in spec.keep])
+    chunks = (_block_inverse(sizes, i, config.bloch, lo, hi)
+              for i, lo, hi in _column_chunks(sizes) if i in spec.keep)
+    return nz, chunks
+
+
+def _kept_block(spec: BakerSpec, config: QuantizationConfig) -> np.ndarray:
+    """M[nz, nz] for the kept indices nz, ascending, without the N x N M.
+
+    This block carries M's whole spectrum but N - |nz| exact zeros.  Its
+    columns are the _kept_columns chunks cut to the rows nz: the entries
+    are M's bit for bit, and the transients are N x 64.
+    """
+    nz, chunks = _kept_columns(spec, config)
     block = np.empty((nz.size, nz.size), dtype=complex)
     done = 0
-    for i, lo, hi in _column_chunks(sizes):
-        if i in spec.keep:
-            block[:, done:done + hi - lo] = _block_inverse(
-                sizes, i, config.bloch, lo, hi)[nz]
-            done += hi - lo
+    for chunk in chunks:
+        block[:, done:done + chunk.shape[1]] = chunk[nz]
+        done += chunk.shape[1]
+        del chunk  # freed before the next chunk is built, not after
     return block
 
 

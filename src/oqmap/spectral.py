@@ -16,15 +16,17 @@ bulk spectrum (the eigenvalues of D) the factor (I - 1/lam D) is
 invertible, so every resonance with |lam| > r_bulk is exactly a zero of
 det E on the rank(Pi)-dimensional trapped subspace.
 
-An open map M = U Pi vanishes outside its kept columns, and the
-reduction and the residual norms run on those columns only.  The bulk is
-cut once, to the bulk indices J whose column of M is nonzero on any row:
-off J the columns of B and D vanish, so B (I - D/lam)^{-1} C =
+An open map M = U Pi vanishes outside its kept columns nz, and the
+reduction and the residual norms read M only as the pair (nz, M[:, nz]).
+A caller may hand that pair over; a dense input is cut to it by one
+scan of its columns.  The bulk is cut to the bulk indices J in nz: off
+J the columns of B and D vanish, so B (I - D/lam)^{-1} C =
 B[:, J] K^{-1} C[J, :] with K = I - D[J, J]/lam, and (Sylvester's
 identity) the bulk radius and det(I - D/lam) are those of D[J, J].
-Powers of M are iterated on N x |nz| blocks.  The columns are read off
-the matrix, so dense inputs take the same path.  The full N x N
-determinant det(I - M/lam) stays the independent side of the identity.
+Powers of M are iterated on N x |nz| blocks.  The independent side of
+the identity is det(I - M[nz, nz]/lam): ordered (the rest, nz),
+I - M/lam is block upper triangular with an identity corner, so the two
+determinants are equal.
 
 The eigensolver uses the same zeros.  Sweep 1 drops every index whose
 column of M is zero; sweep i drops every index whose column is zero on
@@ -61,7 +63,7 @@ from .errors import (
     SingularResolvent,
     SolverFailure,
 )
-from .quantize import DENSE_GUARD, QuantizationConfig, QuantizedMap, _block_sizes
+from .quantize import DENSE_GUARD, QuantizationConfig, QuantizedMap, _guarded_sizes
 
 __all__ = [
     "Spectrum",
@@ -79,6 +81,9 @@ __all__ = [
 ]
 
 MatrixLike = Union[np.ndarray, QuantizedMap]
+# a map as (nz, M[:, nz]): its nonzero columns' indices, ascending, and
+# those columns; every other column of M is zero
+ColumnsLike = Union[MatrixLike, Tuple[np.ndarray, np.ndarray]]
 
 
 def _as_matrix(m: MatrixLike) -> np.ndarray:
@@ -134,10 +139,28 @@ def _core(M: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
         nonzero = nonzero[~empty][:, ~empty]
 
 
+def _permute_columns(V: np.ndarray, order: np.ndarray) -> None:
+    """V[:, :] = V[:, order] in place, one column at a time along the
+    cycles of the permutation: no second copy of V."""
+    moved = np.zeros(order.size, dtype=bool)
+    for start in np.flatnonzero(order != np.arange(order.size)):
+        if moved[start]:
+            continue
+        saved = V[:, start].copy()
+        j = start
+        while order[j] != start:
+            V[:, j] = V[:, order[j]]
+            moved[j] = True
+            j = order[j]
+        V[:, j] = saved
+        moved[j] = True
+
+
 def _lift(M: np.ndarray, core: np.ndarray, sweeps: Sequence[np.ndarray],
-          Y: np.ndarray, values: np.ndarray, V: np.ndarray) -> None:
-    """Write into V the unit eigenvectors of M that lift the eigenpairs
-    (values, Y) of M[core, core].
+          values: np.ndarray, V: np.ndarray) -> None:
+    """Lift in place the columns of V, eigenvectors of M[core, core] for
+    the eigenvalues values on the rows core and zero on the rest, to unit
+    eigenvectors of M.
 
     The eigenvector of M is [u; y] with (lam - Nil) u = X y, in the order
     of the module docstring.  The rows of sweep i meet only the columns
@@ -145,16 +168,17 @@ def _lift(M: np.ndarray, core: np.ndarray, sweeps: Sequence[np.ndarray],
     last sweep to the first: u_i = M[sweep_i, active_i] [u_{>i}; y] / lam.
     In exact arithmetic this is v <- M v / lam iterated p times from y
     padded with zeros, one sweep at a time.  A core eigenvalue that is
-    exactly 0 keeps y padded with zeros.
+    exactly 0 keeps y padded with zeros.  The columns are scaled 64 at a
+    time, so no temporary is the size of V.
     """
-    V[core] = Y
     active = core
     for drop in reversed(sweeps):
         rows = M[np.ix_(drop, active)] @ V[active]
         V[drop] = np.divide(rows, values, out=np.zeros_like(rows),
                             where=values != 0)
         active = np.concatenate([drop, active])
-    V /= np.linalg.norm(V, axis=0)
+    for lo in range(0, V.shape[1], 64):
+        V[:, lo:lo + 64] /= np.linalg.norm(V[:, lo:lo + 64], axis=0)
 
 
 def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
@@ -164,10 +188,11 @@ def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
     docstring); the spectrum is its eigenvalues padded with N - |K|
     exact zeros.  With want_vectors, each core eigenvector is lifted to
     a unit eigenvector of M, and each dropped index j gets e_j, in sweep
-    order; the N x N array is built once, in the sorted order.  The
-    backward error bound is taken on the full M: the zeros are exact,
-    and M[K, K] is a submatrix of M, so QR's backward error on it is
-    within the bound.
+    order.  QR's eigenvector array is sorted in place; it is the result
+    when no sweep drops an index, and else the N x N array is built once.
+    The backward error bound is taken on the full M: the zeros are
+    exact, and M[K, K] is a submatrix of M, so QR's backward error on it
+    is within the bound.
     """
     M = _as_matrix(matrix)
     N = M.shape[0]
@@ -196,10 +221,13 @@ def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
     if want_vectors:
         # the padded zeros sort last and stably, so the core eigenvalues
         # take the first k places and the dropped indices the rest
-        vectors = np.zeros((N, N), dtype=np.result_type(M, Y))
-        _lift(M, core, sweeps, Y[:, order[:k]], values[:k], vectors[:, :k])
+        _permute_columns(Y, order[:k])
+        vectors = Y
         if sweeps:
+            vectors = np.zeros((N, N), dtype=Y.dtype)
+            vectors[core, :k] = Y
             vectors[np.concatenate(sweeps), np.arange(k, N)] = 1.0
+        _lift(M, core, sweeps, values[:k], vectors[:, :k])
     return Spectrum(values, vectors, bound)
 
 
@@ -328,9 +356,7 @@ def trapped_quasiprojector(spec: BakerSpec, config: QuantizationConfig,
     raises DimensionGuard before the diagonal is allocated.
     """
     N = config.dimension
-    if N > DENSE_GUARD:
-        raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
-    _block_sizes(spec, N)  # raises DivisibilityError unless N*ell_i are integers
+    _guarded_sizes(spec, config)  # the dense guard, then N*ell_i integral
     if level == 0:
         return Quasiprojector(np.ones(N), 0, N)
     if level < 0:
@@ -351,22 +377,42 @@ def trapped_quasiprojector(spec: BakerSpec, config: QuantizationConfig,
     return Quasiprojector(diag, level, int(diag.sum()))
 
 
-def _split(M: np.ndarray, projector: np.ndarray):
-    """Validate a projector and return (M', kept, rest): M in a basis where
-    the projector is diagonal, with the indices of its range and kernel.
+def _as_columns(matrix: ColumnsLike) -> Tuple[np.ndarray, np.ndarray]:
+    """M as the pair (nz, M[:, nz]): the indices of its nonzero columns,
+    ascending, and those columns.  A pair is checked and returned as it
+    is; a dense M is cut to it by one scan of its columns."""
+    if not isinstance(matrix, tuple):
+        M = _as_matrix(matrix)
+        nz = _nonzero_columns(M)
+        return nz, M[:, nz]
+    nz, columns = (np.asarray(part) for part in matrix)
+    N = columns.shape[0] if columns.ndim == 2 else -1
+    if (N < 0 or nz.shape != (columns.shape[1],)
+            or np.any(np.diff(nz) <= 0) or np.any((nz < 0) | (nz >= N))):
+        raise ValueError("kept columns must be a pair (nz, M[:, nz]) with "
+                         "nz ascending in 0..N-1")
+    return nz, columns
 
-    A 0/1 diagonal vector leaves M as it is.  A Hermitian idempotent
-    matrix rotates M once, M' = Q^* M Q with Q = [V W] from eigh, so that
-    ran(Pi) is spanned by the leading rank(Pi) coordinates.
+
+def _split(nz: np.ndarray, columns: np.ndarray, projector: np.ndarray):
+    """Validate a projector and return (nz', M'[:, nz'], kept, rest): the
+    map M = (nz, M[:, nz]) in a basis where the projector is diagonal, as
+    its nonzero columns, with the indices of the projector's range and
+    kernel.
+
+    A 0/1 diagonal vector leaves the pair as it is.  A Hermitian
+    idempotent matrix rotates M once, M' = Q^* M Q with Q = [V W] from
+    eigh, so that ran(Pi) is spanned by the leading rank(Pi)
+    coordinates, and M' is cut to its nonzero columns by one scan.
     """
-    N = M.shape[0]
+    N = columns.shape[0]
     P = np.asarray(projector)
     if P.ndim == 1:
         if P.shape != (N,):
             raise ValueError(f"diagonal projector length {P.shape} != {N}")
         if not np.all((P == 0.0) | (P == 1.0)):
             raise ValueError("diagonal projector entries must be exactly 0 or 1")
-        return M, np.flatnonzero(P == 1.0), np.flatnonzero(P == 0.0)
+        return nz, columns, np.flatnonzero(P == 1.0), np.flatnonzero(P == 0.0)
     if P.shape != (N, N):
         raise ValueError(f"projector shape {P.shape} incompatible with N={N}")
     if not np.all(np.isfinite(P)):
@@ -382,17 +428,31 @@ def _split(M: np.ndarray, projector: np.ndarray):
     ones = values > 0.5
     Q = np.concatenate([vectors[:, ones], vectors[:, ~ones]], axis=1)
     rank = int(ones.sum())
-    return Q.conj().T @ M @ Q, np.arange(rank), np.arange(rank, N)
+    M = np.zeros((N, N), dtype=columns.dtype)
+    M[:, nz] = columns
+    M = Q.conj().T @ M @ Q
+    nz = _nonzero_columns(M)
+    return nz, M[:, nz], np.arange(rank), np.arange(rank, N)
 
 
-def _blocks(M: np.ndarray, kept: np.ndarray, rest: np.ndarray):
+def _blocks(nz: np.ndarray, columns: np.ndarray, kept: np.ndarray,
+            rest: np.ndarray):
     """Blocks (A, B, C, D) = (M[P, P], M[P, J], M[J, P], M[J, J]) of a
-    split map M (see :func:`_split`), cut to the bulk indices J whose
-    column of M is nonzero on any row: a bulk column that is zero on the
-    bulk rows alone still feeds B, so it stays in J."""
-    J = np.intersect1d(rest, _nonzero_columns(M))
-    return (M[np.ix_(kept, kept)], M[np.ix_(kept, J)],
-            M[np.ix_(J, kept)], M[np.ix_(J, J)])
+    split map M (see :func:`_split`), cut to the bulk indices J in nz.
+    Every column of M outside nz is zero, in A and C too; a bulk column
+    in nz that is zero on the bulk rows alone still feeds B, so it stays
+    in J."""
+    where = np.full(columns.shape[0], -1)
+    where[nz] = np.arange(nz.size)
+
+    def cut(rows, cols):
+        at = where[cols]
+        block = np.zeros((rows.size, cols.size), dtype=columns.dtype)
+        block[:, at >= 0] = columns[np.ix_(rows, at[at >= 0])]
+        return block
+
+    J = np.intersect1d(rest, nz)
+    return cut(kept, kept), cut(kept, J), cut(J, kept), cut(J, J)
 
 
 def _nonzero_columns(matrix: np.ndarray) -> np.ndarray:
@@ -415,7 +475,7 @@ def _check_probes(probes: Sequence[complex]) -> None:
                              f"it must stay below sqrt(float max) = {bound:.6g}")
 
 
-def residual_decay(matrix: MatrixLike, projector: np.ndarray,
+def residual_decay(matrix: ColumnsLike, projector: np.ndarray,
                    m_max: int = 6) -> Tuple[float, ...]:
     """Operator norms ||(I - Pi) M^m||_2 for m = 1..m_max (m_max <= 12).
 
@@ -425,20 +485,19 @@ def residual_decay(matrix: MatrixLike, projector: np.ndarray,
     An open map M = U Pi vanishes outside its nonzero columns nz, and so
     does every power: M^m[:, nz] = M^{m-1}[:, nz] M[nz, nz].  The powers
     are iterated on these N x |nz| blocks; the zero columns leave the
-    2-norm unchanged.  nz is read off the matrix, so a dense input with
-    no zero column, or one rotated by a matrix projector, takes the same
-    path.
+    2-norm unchanged.  M is given dense or as the pair (nz, M[:, nz]);
+    a dense input, or one rotated by a matrix projector, is cut to that
+    pair by one scan.
     """
     _check_m_max(m_max)
-    M, _, rest = _split(_as_matrix(matrix), projector)
-    nz = _nonzero_columns(M)
-    step = M[np.ix_(nz, nz)]
+    nz, power, _, rest = _split(*_as_columns(matrix), projector)
+    step = power[nz]
 
     norms = []
-    power = M[:, nz]
     for m in range(1, m_max + 1):
-        complement = power[rest]
-        norms.append(float(np.linalg.norm(complement, 2)) if complement.size else 0.0)
+        # the N x |nz| block (I - Pi) M^m is freed once its norm is read
+        norms.append(float(np.linalg.norm(power[rest], 2))
+                     if rest.size and nz.size else 0.0)
         if m < m_max:
             power = power @ step
     return tuple(norms)
@@ -518,6 +577,36 @@ def _logdet(matrix: np.ndarray) -> complex:
     return complex(logabs, np.angle(sign))
 
 
+def _identity_errors(A, B, C, D, core: np.ndarray,
+                     probes: Sequence[complex]) -> List[float]:
+    """|lhs/rhs - 1| of det(I - M/lam) = det E(lam) det(I - D/lam) at each
+    probe, in log space, from the cut blocks and core = M[nz, nz]: the
+    left side is det(I - core/lam) (see the module docstring).  Both
+    sides singular count as agreement, one side singular as an infinite
+    error.
+    """
+    eye_j = np.eye(D.shape[0], dtype=complex)
+    rel_errors = []
+    for lam in probes:
+        E, _ = _effective_pieces(A, B, C, D, lam, derivative=False)
+        full = core / -lam
+        full.flat[::core.shape[0] + 1] += 1.0  # I - core/lam, no identity array
+        log_full = _logdet(full)
+        log_eff = _logdet(E)
+        log_bulk = _logdet(eye_j - D / lam)
+        lhs_singular = log_full.real == -np.inf
+        rhs_singular = (log_eff.real == -np.inf) or (log_bulk.real == -np.inf)
+        if lhs_singular and rhs_singular:
+            rel_errors.append(0.0)
+        elif lhs_singular or rhs_singular:
+            rel_errors.append(np.inf)
+        else:
+            delta = log_full - (log_eff + log_bulk)
+            rel_errors.append(float(abs(np.exp(delta) - 1.0))
+                              if delta.real < 700.0 else np.inf)
+    return rel_errors
+
+
 def match_spectra(reference: Sequence[complex], candidate: Sequence[complex],
                   tol: float):
     """Greedy nearest pairing of two spectra.
@@ -543,7 +632,7 @@ def match_spectra(reference: Sequence[complex], candidate: Sequence[complex],
     return pairs, unmatched_ref, cand
 
 
-def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
+def effective_hamiltonian(matrix: ColumnsLike, projector: np.ndarray,
                           probes: Sequence[complex], radius: float,
                           m_max: int = 6,
                           match_tol: float = 1e-6) -> EffectiveHamiltonianReport:
@@ -559,19 +648,28 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
     float, so an eigenvalue of modulus float max ** 0.25 or more in the
     annulus raises SolverFailure, and an iterate that would step there
     stops.
+
+    M is given dense or as the pair (nz, M[:, nz]) of its nonzero
+    columns, which is all that the blocks, the outer eigensolve on
+    M[nz, nz], the identity's independent side and the residual audit
+    read; a dense input is cut to that pair by one scan.  The outer
+    eigensolve and the independent side read the caller's M, not its
+    rotation by a matrix projector, so the identity also checks the
+    rotation.
     """
     probes = tuple(complex(p) for p in probes)
     if not probes:
         raise ValueError("the determinant identity needs at least one probe")
     _check_probes(probes)
     _check_m_max(m_max)
-    M = _as_matrix(matrix)
-    N = M.shape[0]
+    nz, columns = _as_columns(matrix)
+    core = columns[nz]  # M[nz, nz]
     # one split serves the blocks and the residual audit, whose 0/1
     # diagonal in the split basis leaves the split map as it is
-    split, kept, rest = _split(M, projector)
-    A, B, C, D = _blocks(split, kept, rest)
+    split_nz, split_columns, kept, rest = _split(nz, columns, projector)
+    A, B, C, D = _blocks(split_nz, split_columns, kept, rest)
     rank = A.shape[0]
+    N = columns.shape[0]
     diagonal = np.zeros(N)
     diagonal[kept] = 1.0
 
@@ -587,30 +685,12 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
         raise ProbeInsideBulkSpectrum(
             f"radius {radius} <= bulk radius {r_bulk:.6g} + 1e-6")
 
-    # --- determinant identity at the probes; the full N x N determinant
-    # is the independent side ---
-    eye_j = np.eye(D.shape[0], dtype=complex)
-    rel_errors = []
-    for lam in probes:
-        E, _ = _effective_pieces(A, B, C, D, lam, derivative=False)
-        full = M / -lam
-        full.flat[::N + 1] += 1.0  # I - M/lam without an N x N identity
-        log_full = _logdet(full)
-        log_eff = _logdet(E)
-        log_bulk = _logdet(eye_j - D / lam)
-        lhs_singular = log_full.real == -np.inf
-        rhs_singular = (log_eff.real == -np.inf) or (log_bulk.real == -np.inf)
-        if lhs_singular and rhs_singular:
-            rel_errors.append(0.0)
-        elif lhs_singular or rhs_singular:
-            rel_errors.append(np.inf)
-        else:
-            delta = log_full - (log_eff + log_bulk)
-            rel_errors.append(float(abs(np.exp(delta) - 1.0))
-                              if delta.real < 700.0 else np.inf)
+    # --- determinant identity at the probes ---
+    rel_errors = _identity_errors(A, B, C, D, core, probes)
 
-    # --- outer spectrum as roots of det E ---
-    spectrum = eigen_decompose(M)
+    # --- outer spectrum as roots of det E: radius > r_bulk >= 0, so the
+    # N - |nz| exact zeros of M outside M[nz, nz] never reach it ---
+    spectrum = eigen_decompose(core)
     moduli = np.abs(spectrum.eigenvalues)
     outer = tuple(complex(z) for z in spectrum.eigenvalues[moduli >= radius])
     # E' divides by lam^4, which overflows past float max ** 0.25
@@ -660,6 +740,7 @@ def effective_hamiltonian(matrix: MatrixLike, projector: np.ndarray,
         match_distances=distances,
         unmatched=len(unmatched_ref),
         clustered=clustered,
-        residual_norms=residual_decay(split, diagonal, m_max),
+        residual_norms=residual_decay((split_nz, split_columns), diagonal,
+                                      m_max),
         match_tol=match_tol,
     )

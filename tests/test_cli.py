@@ -476,7 +476,9 @@ DENSE_ORACLE_CASES = {
 class TestDenseOracle:
     """spectrum, count, radius-scan and weyl-fit solve M's kept block and
     stream the dumped matrix in chunks; every output is what the same
-    writers give on the dense path, eigen_decompose(quantize_open(...))."""
+    writers give on the dense path, eigen_decompose(quantize_open(...)).
+    husimi lifts a kept-block eigenvector and effective reduces
+    (nz, M[:, nz]); both agree with the library run on the dense map."""
 
     @pytest.mark.parametrize("bloch", ["0,0", "0.3,0.7"])
     @pytest.mark.parametrize("tag", sorted(DENSE_ORACLE_CASES))
@@ -537,14 +539,104 @@ class TestDenseOracle:
         assert load(tmp_path / "spectrum" / "spectrum.json")[
             "spectral_radius"] == report.spectral_radius
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", *D3, "--N", "972", "--dump-matrix"],
-        ["count", *D3, "--N", "972"],
-    ], ids=lambda argv: argv[0])
-    def test_peak_stays_below_one_dense_map(self, tmp_path, argv):
-        # the kept block, 16 |nz|^2 = 0.44 x 16 N^2, N x 64 transients and
-        # the eigenvalues; the dense path held the N x N map and its
-        # column-major copy for the dump
+    # spec, N, Bloch phases: the criterion-12 husimi run and the two
+    # husimi commands of the benchmark
+    HUSIMI_ORACLE_CASES = [
+        pytest.param(D3, 81, "0,0", id="D3-81"),
+        pytest.param(D5, 500, "0.3,0.7", id="D5-500"),
+        pytest.param(D3, 486, "0.3,0.7", id="D3-486"),
+    ]
+
+    @pytest.mark.parametrize("spec_argv,N,bloch", HUSIMI_ORACLE_CASES)
+    def test_husimi_mode_equals_the_dense_path(self, tmp_path, spec_argv, N,
+                                               bloch):
+        spec = validate_spec(parse_partition(spec_argv[1], False),
+                             parse_keep(spec_argv[3]))
+        config = QuantizationConfig(N, parse_bloch(bloch))
+        qmap = quantize_open(spec, config).open_map
+        dense = eigen_decompose(qmap, want_vectors=True)
+        kept = len(oqmap.quantize._kept_block(spec, config))
+        for rank in (0, 3, kept):
+            value, mode, residual, _ = oqmap.cli._open_mode(spec, config, rank)
+            want = dense.vectors[:, rank] / np.linalg.norm(dense.vectors[:, rank])
+            assert np.abs(mode - want).max() <= 1e-15, rank
+            assert residual <= 1e-12
+            out = tmp_path / str(rank)
+            assert run(["husimi", *spec_argv, "--N", N, "--bloch", bloch,
+                        "--mode-rank", rank, "--grid", "32",
+                        "--outdir", out]) == 0
+            got = load(out / "husimi.json")
+            eigenvalue = complex(dense.eigenvalues[rank])
+            modulus = abs(eigenvalue)
+            assert value == eigenvalue
+            assert got["eigenvalue"] == {"re": eigenvalue.real,
+                                         "im": eigenvalue.imag}
+            assert got["modulus"] == modulus
+            assert got["lifetime"] == (
+                "inf" if modulus == 0 else -2.0 * math.log(modulus))
+            assert got["mode_residual"] == residual
+        assert dense.eigenvalues[kept - 1] != 0 == dense.eigenvalues[kept]
+
+    # spec, N, level, Bloch phases: the criterion-12 effective run and the
+    # two effective commands of the benchmark
+    EFFECTIVE_ORACLE_CASES = [
+        pytest.param(125, 2, "0,0", id="D5-125"),
+        pytest.param(500, 3, "0.3,0.7", id="D5-500"),
+        pytest.param(375, 3, "0.3,0.7", id="D5-375"),
+    ]
+
+    @pytest.mark.parametrize("N,level,bloch", EFFECTIVE_ORACLE_CASES)
+    def test_effective_equals_the_dense_path(self, tmp_path, N, level, bloch):
+        assert run(["effective", *D5, "--N", N, "--level", level,
+                    "--radius", "0.5", "--bloch", bloch,
+                    "--outdir", tmp_path]) == 0
+        spec = symmetric_spec(5, (1, 3))
+        config = QuantizationConfig(N, parse_bloch(bloch))
+        M = quantize_open(spec, config).open_map.matrix
+        projector = spectral.trapped_quasiprojector(spec, config, level).diagonal
+        probes = [1.5 * np.exp(2j * np.pi * j / 8) for j in range(8)]
+        report = spectral.effective_hamiltonian(M, projector, probes, 0.5)
+        lines = ["index,eig_re,eig_im,root_re,root_im,distance"]
+        for i, (eig, root) in enumerate(zip(report.outer_eigenvalues,
+                                            report.refined_roots)):
+            lines.append(f"{i},{fmt_float(eig.real)},{fmt_float(eig.imag)},"
+                         f"{fmt_float(root.real)},{fmt_float(root.imag)},"
+                         f"{fmt_float(abs(eig - root))}")
+        want = write_lines(tmp_path / "dense_roots.csv", lines)
+        assert (tmp_path / "effective_roots.csv").read_bytes() == \
+            want.read_bytes()
+        got = load(tmp_path / "effective.json")
+        assert got["residual_norms"] == list(report.residual_norms)
+        assert got["bulk_spectral_radius"] == report.bulk_spectral_radius
+        # against the identity with the N x N determinant det(I - M/lam)
+        # on its left, as the dense path took it
+        A, B, C, D = oqmap.spectral._blocks(*oqmap.spectral._split(
+            *oqmap.spectral._as_columns(M), projector))
+        logdet = oqmap.spectral._logdet
+        for lam, error in zip(probes, got["identity_rel_errors"]):
+            E, _ = oqmap.spectral._effective_pieces(A, B, C, D, lam, False)
+            delta = logdet(np.eye(N) - M / lam) - (
+                logdet(E) + logdet(np.eye(len(D)) - D / lam))
+            assert abs(error - abs(np.exp(delta) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("argv,N,bound", [
+        pytest.param(["spectrum", *D3, "--N", "972", "--dump-matrix"], 972,
+                     0.65, id="spectrum"),
+        pytest.param(["count", *D3, "--N", "972"], 972, 0.65, id="count"),
+        pytest.param(["husimi", *D3, "--N", "972", "--grid", "32"], 972, 1.0,
+                     id="husimi"),
+        pytest.param(["effective", *D5, "--N", "500", "--level", "3",
+                      "--radius", "0.5"], 500, 2.0, id="effective"),
+    ])
+    def test_peak_stays_below_one_dense_map(self, tmp_path, argv, N, bound):
+        # spectrum and count: the kept block, 16 |nz|^2 = 0.44 x 16 N^2,
+        # N x 64 transients and the eigenvalues; the dense path held the
+        # N x N map and its column-major copy for the dump.  husimi: the
+        # kept block and its eigenvectors, 0.89 x 16 N^2; the dense path
+        # held the map and N x N eigenvectors, 4.2 x 16 N^2.  effective:
+        # M[:, nz] = 0.4 x 16 N^2, and two of its powers in the residual
+        # audit; the dense path held the map, a copy per probe and the
+        # split, 3.6 x 16 N^2
         argv = [*argv, "--bloch", "0.3,0.7"]
         assert run([*argv, "--outdir", tmp_path / "warm"]) == 0  # FFT plans
         tracemalloc.start()
@@ -554,7 +646,7 @@ class TestDenseOracle:
         finally:
             tracemalloc.stop()
         assert status == 0
-        assert peak < 0.65 * 16 * 972 ** 2
+        assert peak < bound * 16 * N ** 2
 
     @pytest.mark.parametrize("bloch", ["0,0", "0.3,0.7"])
     def test_weyl_fit_sample_is_the_count(self, tmp_path, bloch):
@@ -710,12 +802,12 @@ class TestEffective:
                     "--radius", "0.01", "--outdir", tmp_path]) == 2
 
     def test_m_max_checked_before_quantizing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+        monkeypatch.setattr(oqmap.cli, "_kept_columns", unreachable)
         assert run([*EFFECTIVE, "--m-max", "13", "--outdir", tmp_path]) == 2
         assert run([*EFFECTIVE, "--m-max", "0", "--outdir", tmp_path]) == 2
 
     def test_probe_count_names_the_guard(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+        monkeypatch.setattr(oqmap.cli, "_kept_columns", unreachable)
         assert run([*EFFECTIVE, "--probe-count", "5001",
                     "--outdir", tmp_path]) == 2
         assert "dense guard 5000" in capsys.readouterr().err
@@ -752,12 +844,12 @@ class TestHusimi:
         assert load(tmp_path / "husimi.json")["mode_residual"] <= 1e-12
 
     def test_mode_residual_catches_an_unlifted_mode(self, tmp_path, monkeypatch):
-        # mutation check: the core eigenvector padded with zeros, never
-        # carried onto the dropped indices through M[:, K]
-        def unlifted(M, core, sweeps, Y, values, V):
-            V[core] = Y
+        # mutation check: the kept block's eigenvector padded with zeros,
+        # never carried onto the rows off nz through M[:, nz]
+        def unlifted(v, Mv, value, rest):
+            pass
 
-        monkeypatch.setattr(oqmap.spectral, "_lift", unlifted)
+        monkeypatch.setattr(oqmap.cli, "_lift_mode", unlifted)
         assert run(["husimi", *D5, "--N", "500", "--grid", "32",
                     "--outdir", tmp_path]) == 0
         assert load(tmp_path / "husimi.json")["mode_residual"] > 1e-3
@@ -767,7 +859,8 @@ class TestHusimi:
                     "--outdir", tmp_path]) == 2
 
     def test_grid_checked_before_quantizing(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+        monkeypatch.setattr(oqmap.cli, "_kept_block", unreachable)
+        monkeypatch.setattr(oqmap.cli, "_kept_columns", unreachable)
         assert run([*HUSIMI, "--grid", "1", "--outdir", tmp_path]) == 2
 
     def test_huge_grid_exits_2_before_allocating(self, tmp_path):
@@ -830,7 +923,8 @@ HUSIMI = ["husimi", *D3, "--N", "27", "--level", "2"]
     ["effective", *D5, "--N", "125", "--level", "2", "--radius", "nan"],
     [*EFFECTIVE, "--probe-count", "0"],
     [*EFFECTIVE, "--probe-count", "-3"],
-    # every probe is one N x N slogdet: the count is held to the dense guard
+    # every probe is a |nz| x |nz| slogdet and bulk solves: the count is
+    # held to the dense guard
     [*EFFECTIVE, "--probe-count", "5001"],
     [*EFFECTIVE, "--probe-radius", "nan"],
     # 0 divided by zero in symmetric_spec; 1 and -1 leave one rectangle or none
@@ -899,7 +993,7 @@ HUGE = "1000000000000000"
       for bloch in ("1,0", "0,1", "0.5,1.5", "2,0", "-0.25,0")),
 ], ids=lambda argv: argv[0])
 def test_oversized_input_exits_2_before_allocating(tmp_path, monkeypatch, argv):
-    monkeypatch.setattr(oqmap.cli, "quantize_open", unreachable)
+    monkeypatch.setattr(oqmap.cli, "_kept_columns", unreachable)
     monkeypatch.setattr(oqmap.cli, "_kept_block", unreachable)
     tracemalloc.start()
     try:
@@ -1134,8 +1228,8 @@ CLI_LAYER_NAMES = {
     phasespace: ("CoherentFrame", "_validate_grid", "husimi_report",
                  "merged_strip_cover"),
     quantize: ("DENSE_GUARD", "QuantizationConfig", "_block_sizes",
-               "_kept_block", "_open_columns", "_phase_factors",
-               "quantize_open", "walsh_open"),
+               "_kept_block", "_kept_columns", "_open_columns",
+               "_phase_factors", "walsh_open"),
     oqmap.serialize: ("fmt_float", "sha256_file", "write_counts_csv",
                       "write_husimi_csv", "write_husimi_pgm",
                       "write_intervals_csv", "write_json", "write_lines",

@@ -50,6 +50,7 @@ from oqmap.quantize import (
     _block_inverse,
     _gdft_apply,
     _kept_block,
+    _kept_columns,
     _open_columns,
 )
 
@@ -374,9 +375,9 @@ class TestKeptColumnBuild:
 
 
 class TestKeptBlock:
-    """_kept_block is M[nz, nz] on the kept indices nz, and _open_columns
-    M's columns in chunks, built from the same inverse transforms as
-    quantize_open without an N x N array."""
+    """_kept_block is M[nz, nz] on the kept indices nz, _kept_columns
+    M[:, nz] and _open_columns M's columns in chunks, built from the same
+    inverse transforms as quantize_open without an N x N array."""
 
     @pytest.mark.parametrize("tag,N", [*BUILD_CASES, ("D3", 162), ("D5", 250),
                                        ("asym", 12)])
@@ -390,6 +391,12 @@ class TestKeptBlock:
             got = _kept_block(get_spec(tag), config)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            kept, chunks = _kept_columns(get_spec(tag), config)
+            chunks = list(chunks)
+            assert np.array_equal(kept, nz)
+            assert all(c.shape[0] == N and c.shape[1] <= 64 for c in chunks)
+            assert np.hstack(chunks).tobytes() == \
+                quant.open_map.matrix[:, nz].tobytes()
             # the removed columns' +0.0 included
             chunks = list(_open_columns(get_spec(tag), config))
             assert all(c.shape[0] == N and c.shape[1] <= 64 for c in chunks)
@@ -421,6 +428,9 @@ class TestKeptBlock:
     def test_dense_guard(self, spec3):
         with pytest.raises(DimensionGuard):
             _kept_block(spec3, QuantizationConfig(5001))
+        # before the call returns, not when the first chunk is drawn
+        with pytest.raises(DimensionGuard):
+            _kept_columns(spec3, QuantizationConfig(5001))
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from oqmap.errors import (
 )
 import oqmap.spectral
 from oqmap.spectral import (
+    _as_columns,
     _core,
     _effective_pieces,
     _split,
@@ -412,8 +413,9 @@ class TestEffectiveHamiltonian:
         assert report.unmatched == 0
 
     def test_one_sided_singularity_is_an_infinite_error(self, monkeypatch):
-        # mutation: the full N x N determinant reads as singular while the
-        # reduced side does not, so the identity fails without bound
+        # mutation: the kept-block determinant det(I - M[nz, nz]/lam)
+        # reads as singular while the reduced side does not, so the
+        # identity fails without bound
         logdet = oqmap.spectral._logdet
 
         def full_side_singular(matrix):
@@ -544,14 +546,27 @@ def projector_split(projector):
 
 def cut_blocks(matrix, projector):
     """The library's cut blocks (A, B, C, D) of a map and a projector."""
-    return oqmap.spectral._blocks(*_split(np.asarray(matrix), projector))
+    return oqmap.spectral._blocks(
+        *_split(*_as_columns(np.asarray(matrix)), projector))
 
 
-def uncut_blocks(M, kept, rest):
-    """_blocks without the cut: the bulk D is the whole kernel block of
-    the split map M."""
+def dense(nz, columns):
+    """The N x N map whose columns nz are columns and the rest zero."""
+    M = np.zeros((columns.shape[0],) * 2, dtype=columns.dtype)
+    M[:, nz] = columns
+    return M
+
+
+def dense_blocks(M, kept, rest):
+    """Blocks of a split map M, the bulk D being its whole kernel block."""
     return (M[np.ix_(kept, kept)], M[np.ix_(kept, rest)],
             M[np.ix_(rest, kept)], M[np.ix_(rest, rest)])
+
+
+def uncut_blocks(nz, columns, kept, rest):
+    """_blocks without the cut, on the split map (nz, M[:, nz]) made
+    dense again."""
+    return dense_blocks(dense(nz, columns), kept, rest)
 
 
 def full_blocks(matrix, projector):
@@ -561,14 +576,15 @@ def full_blocks(matrix, projector):
     M = np.asarray(getattr(matrix, "matrix", matrix))
     kept, rest, V, W = projector_split(projector)
     if V is None:
-        return uncut_blocks(M, kept, rest)
+        return dense_blocks(M, kept, rest)
     Vh, Wh = V.conj().T, W.conj().T
     return Vh @ M @ V, Vh @ M @ W, Wh @ M @ V, Wh @ M @ W
 
 
-def bulk_columns_blocks(M, kept, rest):
+def bulk_columns_blocks(nz, columns, kept, rest):
     """Mutant _blocks: J from the columns of the bulk block alone, so a
     bulk column that is nonzero only on kept rows is dropped from B."""
+    M = dense(nz, columns)
     J = rest[np.any(M[np.ix_(rest, rest)] != 0, axis=0)]
     return (M[np.ix_(kept, kept)], M[np.ix_(kept, J)],
             M[np.ix_(J, kept)], M[np.ix_(J, J)])
@@ -576,8 +592,10 @@ def bulk_columns_blocks(M, kept, rest):
 
 def full_power_residual_decay(matrix, projector, m_max=6):
     """||(I - Pi) M^m||_2 from full N x N powers and full SVDs, with
-    (I - Pi) applied unrotated, as W^* for a matrix projector."""
-    M = np.asarray(getattr(matrix, "matrix", matrix))
+    (I - Pi) applied unrotated, as W^* for a matrix projector; a pair
+    (nz, M[:, nz]) is made dense first."""
+    M = (dense(*matrix) if isinstance(matrix, tuple)
+         else np.asarray(getattr(matrix, "matrix", matrix)))
     kept, rest, V, W = projector_split(projector)
     norms, power = [], M.copy()
     for _ in range(m_max):
@@ -714,6 +732,54 @@ class TestKeptColumns:
             want_bulk = np.linalg.det(np.eye(D0.shape[0]) - D0 / lam)
             assert abs(det_bulk - want_bulk) <= 1e-12 * abs(want_bulk)
         assert got.max_identity_rel_error <= 1e-12
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pair_gives_the_bits_of_the_dense_map(self, case):
+        # (nz, M[:, nz]) is the form the CLI hands over; a dense M is cut
+        # to it by one scan, so both give the same report bit for bit
+        M, projector, radius = CASES[case]
+        nz = np.flatnonzero(np.any(M != 0, axis=0))
+        pair = (nz, M[:, nz])
+        probes = probe_ring(1.5, 6)
+        assert effective_hamiltonian(pair, projector, probes, radius) == \
+            effective_hamiltonian(M, projector, probes, radius)
+        assert residual_decay(pair, projector, 8) == \
+            residual_decay(M, projector, 8)
+
+    @pytest.mark.parametrize("pair", [
+        (np.array([0, 2]), np.ones(3)),                # columns not 2-D
+        (np.array([0, 2]), np.ones((3, 3))),           # one index short
+        (np.array([2, 0]), np.ones((3, 2))),           # not ascending
+        (np.array([1, 1]), np.ones((3, 2))),           # repeated
+        (np.array([0, 3]), np.ones((3, 2))),           # past N - 1
+        (np.array([-1, 2]), np.ones((3, 2))),          # negative
+    ], ids=["1-D", "short", "descending", "repeated", "past N", "negative"])
+    def test_malformed_pair_refused(self, pair):
+        with pytest.raises(ValueError, match="nz ascending"):
+            residual_decay(pair, np.ones(3))
+        with pytest.raises(ValueError, match="nz ascending"):
+            effective_hamiltonian(pair, np.ones(3), probe_ring(2.0), 1.5)
+
+    def test_identity_checks_the_rotation(self, rng, monkeypatch):
+        # the outer eigenvalues and det(I - M[nz, nz]/lam) come from the
+        # caller's M, so a rotation that is not unitary breaks the
+        # identity; on the rotated map alone the identity would still hold
+        N = 8
+        M = (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))) \
+            / math.sqrt(N)
+        P = random_orthoprojector(N, 3, 5)
+        ring = 2.0 * float(np.linalg.norm(M, 2)) + 1.0
+        report = effective_hamiltonian(M, P, [ring], ring)
+        assert report.max_identity_rel_error <= 1e-12
+        eigh = np.linalg.eigh
+
+        def stretched(a, *args, **kwargs):
+            values, vectors = eigh(a, *args, **kwargs)
+            return values, 1.001 * vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        report = effective_hamiltonian(M, P, [ring], ring)
+        assert report.max_identity_rel_error > 1e-4
 
     def test_m_max_checked_before_any_work(self, monkeypatch):
         def unreachable(*args):
