@@ -372,12 +372,13 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     in max norm over all N^2 entries (checked).
 
     The check runs one column block at a time and keeps no block.  Block b
-    holds the columns whose leading t = k // 2 digits spell b, D^(k-t) of
-    them.  Its part of M is apply of that slice of I; k-1 further
-    applications give its part of M^k, which must equal
+    holds the columns whose leading t digits spell b, D^(k-t) of them,
+    t being the smallest t >= k // 2 with D^(k-t) <= 64, the width of
+    _column_chunks.  Its part of M is apply of that slice of I; k-1
+    further applications give its part of M^k, which must equal
     kron(head_b, Omega_D^{otimes (k-t)}), head_b being the kron of
     Omega_D's columns for b's digits.  The work is O(k D N^2) and the
-    memory O(N D^(k-t)); the model derives M only when .open_map is read.
+    memory O(N * 64); the model derives M only when .open_map is read.
     """
     if k < 1:
         raise ValueError(f"word length k must be >= 1, got {k}")
@@ -390,9 +391,11 @@ def walsh_open(D: int, keep: Sequence[int], k: int) -> WalshModel:
     omega, omega_tilde = _walsh_omega(D, keep_t)
 
     t = k // 2
+    while D ** (k - t) > 64:
+        t += 1
     width = D ** (k - t)
-    tail = omega
-    for _ in range(k - t - 1):
+    tail = np.ones((1, 1))
+    for _ in range(k - t):
         tail = np.kron(tail, omega)
     # one slice of I serves every block, its diagonal set and then
     # cleared: a fresh slice per block lets the allocator trim and refault

@@ -1,12 +1,20 @@
 """Stable on-disk formats: JSON reports, CSV tables, binary matrices, PGM.
 
 All text output is UTF-8 with '.' decimals and LF newlines regardless of
-locale.  CSV floats print as %.17g (17 significant digits always
-round-trip).  JSON is emitted with sorted keys and two-space indent so
-identical payloads are byte-identical, and its floats print as Python's
-shortest round-trip repr.  Exact rationals serialize as
-{"num": p, "den": q}.  JSON is strict: a non-finite float is written as
-the string "inf", "-inf" or "nan", never as a bare NaN/Infinity token.
+locale and platform: files are opened with newline="\n", so no "\n" is
+translated to CRLF.  Text writers stream: each turns its rows, or its
+one JSON walk, into pieces of about a line, and _write_text joins and
+writes _BATCH of them at a time, so a writer holds one batch of text,
+never the whole file.  A write that fails, in its producer or in the
+file, removes its partial file before the error propagates, so it
+leaves no file; the binary matrix writer does the same.
+
+CSV floats print as %.17g (17 significant digits always round-trip).
+JSON is emitted with sorted keys and two-space indent so identical
+payloads are byte-identical, and its floats print as Python's shortest
+round-trip repr.  Exact rationals serialize as {"num": p, "den": q}.
+JSON is strict: a non-finite float is written as the string "inf",
+"-inf" or "nan", never as a bare NaN/Infinity token.
 
 Matrix files are binary: 8-byte magic "OQMAPv1\\0", little-endian u64
 row and column counts, then the entries column-major as interleaved
@@ -24,10 +32,12 @@ import hashlib
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .classical import Intervals
 
@@ -56,6 +66,7 @@ __all__ = [
 
 MAGIC = b"OQMAPv1\0"
 _PGM_DYNAMIC_RANGE = 1e-12
+_BATCH = 4096  # text pieces, about one line each, joined per write
 
 PathLike = Union[str, Path]
 
@@ -72,16 +83,42 @@ def fraction_from_json(obj: dict) -> Fraction:
     return Fraction(obj["num"], obj["den"])
 
 
-def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
-    """UTF-8 text, each line ended by LF."""
+@contextmanager
+def _removed_on_failure(path: Path, mode: str, **kwargs):
+    """path opened for writing; if the body raises, the file is closed and
+    removed before the error propagates."""
+    fh = path.open(mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: PathLike, pieces: Iterable[str], end: str = "") -> Path:
+    """Each piece followed by end, as UTF-8 with LF newlines: the pieces
+    are joined and written _BATCH at a time."""
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pieces = iter(pieces)
+    with _removed_on_failure(path, "w", encoding="utf-8", newline="\n") as fh:
+        while batch := list(islice(pieces, _BATCH)):
+            fh.write(end.join(batch) + end)
     return path
 
 
-def _json_text(obj, pad: str = "") -> str:
-    """A report value as the text json.dumps(..., sort_keys=True, indent=2)
-    gives for its plain-type equivalent, floats as float.__repr__.
+def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
+    """UTF-8 text, each line ended by LF: the bytes of
+    "\n".join(lines) + "\n", so no lines write one LF.  lines may be any
+    iterable; it is consumed once, a batch at a time."""
+    lines = iter(lines)
+    return _write_text(path, chain((next(lines, ""),), lines), "\n")
+
+
+def _json_text(obj, pad: str = "") -> Iterator[str]:
+    """The pieces of the text json.dumps(..., sort_keys=True, indent=2)
+    gives for a report value's plain-type equivalent, floats as
+    float.__repr__: a dict key by key, a list item by item.
 
     Fractions become {"num","den"}, complex numbers {"re","im"}, numpy
     scalars and arrays their Python equivalents, dataclasses dicts.
@@ -91,46 +128,62 @@ def _json_text(obj, pad: str = "") -> str:
     # lookup per value, then the containers and their subclasses
     kind = type(obj)
     if kind is float:
-        return float.__repr__(obj) if math.isfinite(obj) else f'"{fmt_float(obj)}"'
-    if kind is int or kind is str or kind is bool or obj is None:
-        return json.dumps(obj, allow_nan=False)
-    if isinstance(obj, (list, tuple)):
+        yield float.__repr__(obj) if math.isfinite(obj) else f'"{fmt_float(obj)}"'
+    elif kind is int or kind is str or kind is bool or obj is None:
+        yield json.dumps(obj, allow_nan=False)
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            yield "[]"
+            return
         inner = pad + "  "
-        # finite floats, the bulk of a report, inline without a call
-        items = [float.__repr__(x) if type(x) is float and math.isfinite(x)
-                 else _json_text(x, inner) for x in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
+        first, sep = "[\n" + inner, ",\n" + inner
+        # finite floats, the bulk of a report, inline without a call;
+        # local names spare two lookups per item
+        isfinite, text = math.isfinite, float.__repr__
+        for i, x in enumerate(obj):
+            if type(x) is float and isfinite(x):
+                yield (sep if i else first) + text(x)
+            else:
+                yield sep if i else first
+                yield from _json_text(x, inner)
+        yield "\n" + pad + "]"
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            yield "{}"
+            return
         inner = pad + "  "
         # keys as str(k): of keys that collide, the later one's value wins
-        texts = {str(k): _json_text(v, inner) for k, v in obj.items()}
-        items = [json.dumps(key) + ": " + texts[key] for key in sorted(texts)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return _json_text(asdict(obj), pad)
-    if isinstance(obj, Fraction):
-        return _json_text(fraction_to_json(obj), pad)
-    import numpy as np  # only numeric commands hand over other values
+        values = {str(k): v for k, v in obj.items()}
+        sep = "{\n" + inner
+        for key in sorted(values):
+            yield sep + json.dumps(key) + ": "
+            yield from _json_text(values[key], inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + "}"
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        yield from _json_text(asdict(obj), pad)
+    elif isinstance(obj, Fraction):
+        yield from _json_text(fraction_to_json(obj), pad)
+    else:
+        import numpy as np  # only numeric commands hand over other values
 
-    if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
-        return _json_text({"re": float(obj.real), "im": float(obj.imag)}, pad)
-    # np.floating stays here: longdouble.item() returns a longdouble
-    if isinstance(obj, (float, np.floating)):
-        return _json_text(float(obj))
-    if isinstance(obj, np.generic):
-        return _json_text(obj.item(), pad)
-    if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), pad)
-    return json.dumps(obj, allow_nan=False)  # other types raise TypeError
+        if isinstance(obj, complex) or isinstance(obj, np.complexfloating):
+            yield from _json_text({"re": float(obj.real),
+                                   "im": float(obj.imag)}, pad)
+        # np.floating stays here: longdouble.item() returns a longdouble
+        elif isinstance(obj, (float, np.floating)):
+            yield from _json_text(float(obj))
+        elif isinstance(obj, np.generic):
+            yield from _json_text(obj.item(), pad)
+        elif isinstance(obj, np.ndarray):
+            yield from _json_text(obj.tolist(), pad)
+        else:
+            yield json.dumps(obj, allow_nan=False)  # other types raise TypeError
 
 
 def write_json(path: PathLike, payload) -> Path:
     """Strict JSON: no bare NaN or Infinity token is ever written."""
-    return write_lines(path, [_json_text(payload)])
+    return _write_text(path, chain(_json_text(payload), ("\n",)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +197,15 @@ def write_matrix(path: PathLike,
     matrix is a 2-D array, or its column blocks left to right, each a 2-D
     array with the same row count.  Blocks are written as they come, one
     column-major copy at a time, so an iterator of them is never joined;
-    the header is written last, once the column count is known.
+    the header is written last, once the column count is known.  A block
+    that raises, or has another row count, leaves no file.
     """
     import numpy as np
 
     blocks = [matrix] if isinstance(matrix, np.ndarray) else matrix
     rows, cols = None, 0
     path = Path(path)
-    with path.open("wb") as fh:
+    with _removed_on_failure(path, "wb") as fh:
         fh.write(MAGIC + bytes(16))  # the counts, filled in below
         for block in blocks:
             B = np.asarray(block, dtype=complex)
@@ -186,12 +240,14 @@ def write_matrix_csv(path: PathLike, matrix: np.ndarray) -> Path:
     import numpy as np
 
     M = np.asarray(matrix, dtype=complex)
-    lines = ["row,col,re,im"]
-    for r in range(M.shape[0]):
-        for c in range(M.shape[1]):
-            z = M[r, c]
-            lines.append(f"{r},{c},{fmt_float(z.real)},{fmt_float(z.imag)}")
-    return write_lines(path, lines)
+
+    def lines():
+        yield "row,col,re,im"
+        for r in range(M.shape[0]):
+            for c in range(M.shape[1]):
+                z = M[r, c]
+                yield f"{r},{c},{fmt_float(z.real)},{fmt_float(z.imag)}"
+    return write_lines(path, lines())
 
 
 # ---------------------------------------------------------------------------
@@ -204,45 +260,52 @@ def write_intervals_csv(path: PathLike, intervals: Intervals) -> Path:
     den = intervals.den
     # the text of den // g, per gcd: about m + 1 distinct gcds divide Q^m
     reduced = {}
-    lines = ["lo_num,lo_den,hi_num,hi_den"]
-    for lo, hi in zip(intervals.los, intervals.his):
-        g, h = math.gcd(lo, den), math.gcd(hi, den)
-        if g not in reduced:
-            reduced[g] = str(den // g)
-        if h not in reduced:
-            reduced[h] = str(den // h)
-        lines.append(f"{lo // g},{reduced[g]},{hi // h},{reduced[h]}")
-    return write_lines(path, lines)
+
+    def lines():
+        yield "lo_num,lo_den,hi_num,hi_den"
+        for lo, hi in zip(intervals.los, intervals.his):
+            g, h = math.gcd(lo, den), math.gcd(hi, den)
+            if g not in reduced:
+                reduced[g] = str(den // g)
+            if h not in reduced:
+                reduced[h] = str(den // h)
+            yield f"{lo // g},{reduced[g]},{hi // h},{reduced[h]}"
+    return write_lines(path, lines())
 
 
 def write_spectrum_csv(path: PathLike, eigenvalues: Sequence[complex]) -> Path:
     """Columns (index, re, im, modulus, lifetime), order as given."""
-    lines = ["index,re,im,modulus,lifetime"]
-    for i, z in enumerate(eigenvalues):
-        modulus = abs(z)
-        # + 0.0 normalizes -0.0 at modulus 1 so the column reads "0"
-        tau = math.inf if modulus == 0.0 else -2.0 * math.log(modulus) + 0.0
-        lines.append(f"{i},{fmt_float(z.real)},{fmt_float(z.imag)},"
-                     f"{fmt_float(modulus)},{fmt_float(tau)}")
-    return write_lines(path, lines)
+    def lines():
+        yield "index,re,im,modulus,lifetime"
+        for i, z in enumerate(eigenvalues):
+            modulus = abs(z)
+            # + 0.0 normalizes -0.0 at modulus 1 so the column reads "0"
+            tau = math.inf if modulus == 0.0 else -2.0 * math.log(modulus) + 0.0
+            yield (f"{i},{fmt_float(z.real)},{fmt_float(z.imag)},"
+                   f"{fmt_float(modulus)},{fmt_float(tau)}")
+    return write_lines(path, lines())
 
 
 def write_counts_csv(path: PathLike, radii: Sequence[float],
                      counts: Sequence[int], rescaled: Sequence[float]) -> Path:
-    lines = ["r,count,rescaled"]
-    for r, c, s in zip(radii, counts, rescaled):
-        lines.append(f"{fmt_float(r)},{int(c)},{fmt_float(s)}")
-    return write_lines(path, lines)
+    def lines():
+        yield "r,count,rescaled"
+        for r, c, s in zip(radii, counts, rescaled):
+            yield f"{fmt_float(r)},{int(c)},{fmt_float(s)}"
+    return write_lines(path, lines())
 
 
 def write_husimi_csv(path: PathLike, field: HusimiField) -> Path:
     """Columns (x, xi, value), x-major."""
-    lines = ["x,xi,value"]
     xs = [fmt_float(x) for x in field.x_centers]
     xis = [fmt_float(xi) for xi in field.xi_centers]
-    for x, row in zip(xs, field.values.tolist()):
-        lines.extend(f"{x},{xi},{fmt_float(v)}" for xi, v in zip(xis, row))
-    return write_lines(path, lines)
+
+    def lines():
+        yield "x,xi,value"
+        for x, row in zip(xs, field.values):
+            for xi, v in zip(xis, row.tolist()):
+                yield f"{x},{xi},{fmt_float(v)}"
+    return write_lines(path, lines())
 
 
 def write_husimi_pgm(path: PathLike, field: HusimiField) -> Path:
@@ -257,7 +320,6 @@ def write_husimi_pgm(path: PathLike, field: HusimiField) -> Path:
     values = field.values
     gx, gxi = values.shape
     vmax = float(values.max())
-    lines = ["P2", f"{gx} {gxi}", "255"]
     if vmax <= 0.0:
         grey = np.zeros((gx, gxi), dtype=int)
     else:
@@ -265,9 +327,10 @@ def write_husimi_pgm(path: PathLike, field: HusimiField) -> Path:
         log_span = math.log(1.0 / _PGM_DYNAMIC_RANGE)
         clipped = np.clip(values, floor, vmax)
         grey = np.rint(255.0 * (np.log(clipped / floor)) / log_span).astype(int)
-    for row in range(gxi - 1, -1, -1):  # top row of pixels = largest xi
-        lines.append(" ".join(str(int(g)) for g in grey[:, row]))
-    return write_lines(path, lines)
+    # top row of pixels = largest xi
+    rows = (" ".join(str(int(g)) for g in grey[:, row])
+            for row in range(gxi - 1, -1, -1))
+    return write_lines(path, chain(("P2", f"{gx} {gxi}", "255"), rows))
 
 
 def sha256_file(path: PathLike) -> str:

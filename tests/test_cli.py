@@ -730,7 +730,7 @@ class TestWalsh:
 
     def test_seeded_run_holds_no_dense_matrix(self, tmp_path):
         # walsh_open keeps no block of M and the command solves the
-        # 128 x 128 core alone: about 0.15 of the 16 N^2 bytes of M
+        # 128 x 128 core alone: about 0.05 of the 16 N^2 bytes of M
         N = 3 ** 7
         tracemalloc.start()
         try:
@@ -741,7 +741,7 @@ class TestWalsh:
         finally:
             tracemalloc.stop()
         assert status == 0
-        assert peak <= 0.25 * 16 * N * N
+        assert peak <= 0.08 * 16 * N * N
 
     def test_core_rotation_is_bitwise_apply_diagonal_phases(
             self, tmp_path, monkeypatch):

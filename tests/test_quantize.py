@@ -544,7 +544,8 @@ class TestWalsh:
         monkeypatch.setattr(oqmap.quantize, "_walsh_apply", corrupt_last_column)
         with pytest.raises(SolverFailure):
             walsh_open(3, (0, 2), 7)
-        assert widths == [3 ** 4]  # one block of D^(k - k//2) columns
+        # one block of D^(k - t) <= 64 columns, t = 4 >= k // 2
+        assert widths == [3 ** 3]
 
     def test_reversed_head_digits_are_caught(self):
         source = textwrap.dedent(inspect.getsource(oqmap.quantize.walsh_open))
@@ -557,8 +558,8 @@ class TestWalsh:
             namespace["walsh_open"](3, (0, 2), 4)
 
     def test_build_holds_no_dense_matrix(self):
-        # the check holds a few N x D^(k-k//2) blocks at a time and keeps
-        # none: about 0.15 of the 16 N^2 bytes of M at D3 k=7
+        # the check holds a few N x D^(k-t) <= N x 64 blocks at a time and
+        # keeps none: about 0.05 of the 16 N^2 bytes of M at D3 k=7
         N = 3 ** 7
         tracemalloc.start()
         try:
@@ -566,7 +567,7 @@ class TestWalsh:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.25 * 16 * N * N
+        assert peak <= 0.08 * 16 * N * N
         tracemalloc.start()
         try:
             assert model.open_map.matrix.nbytes == 16 * N * N
@@ -575,6 +576,22 @@ class TestWalsh:
             tracemalloc.stop()
         # M itself plus the blocks it is built from
         assert peak < 1.25 * 16 * N * N
+
+    def test_more_branches_than_a_block_is_wide(self, monkeypatch):
+        # D = 70 > 64 at k = 1: every digit leads, so each block is one
+        # column and the tail Omega^{(x) 0} is the 1 x 1 identity
+        real_apply = oqmap.quantize._walsh_apply
+        widths = []
+
+        def record(omega, X):
+            widths.append(X.shape[1])
+            return real_apply(omega, X)
+
+        monkeypatch.setattr(oqmap.quantize, "_walsh_apply", record)
+        model = walsh_open(70, (0, 2), 1)
+        assert set(widths) == {1} and len(widths) == 70
+        monkeypatch.undo()
+        assert np.abs(model.open_map.matrix - model.omega).max() <= 1e-15
 
     def test_nontrivial_count_small(self):
         for k in (1, 2, 3):

@@ -8,6 +8,7 @@ so these tests pin exact bytes, not just values.
 import json
 import math
 import struct
+import tracemalloc
 from collections import OrderedDict, namedtuple
 from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
@@ -16,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqmap import HusimiField, Intervals, escape_report, validate_spec
-from oqmap.cli import main
+from oqmap import (HusimiField, Intervals, escape_report, thermo_report,
+                   validate_spec)
+from oqmap.cli import main, parse_float_grid
 from oqmap.serialize import (
+    _BATCH,
     MAGIC,
     fmt_float,
     fraction_from_json,
@@ -381,8 +384,12 @@ class TestMatrixWriterOracle:
         blocks = iter([np.zeros((3, 2)), np.zeros((4, 2))])
         with pytest.raises(ValueError, match="one row count"):
             write_matrix(tmp_path / "m.bin", blocks)
+        # the first block was written under a 0 x 0 header, which
+        # read_matrix would take for an empty matrix: no file is left
+        assert not (tmp_path / "m.bin").exists()
         with pytest.raises(ValueError, match="one row count"):
             write_matrix(tmp_path / "m.bin", iter([np.zeros(3)]))
+        assert not (tmp_path / "m.bin").exists()
 
     def test_no_column_blocks(self, tmp_path):
         path = write_matrix(tmp_path / "m.bin", iter([]))
@@ -433,19 +440,26 @@ class TestCsvSchemas:
             "x,xi,value\n0.25,0.5,1\n0.75,0.5,2\n")
 
     def test_husimi_csv_bytes_match_per_cell_formatting(self, tmp_path):
-        rng = np.random.default_rng(8)
-        gx, gxi = 40, 33
-        field = HusimiField((np.arange(gx) + 0.5) / gx,
-                            (np.arange(gxi) + 0.5) / gxi,
-                            rng.random((gx, gxi)) * 10.0 ** rng.integers(-9, 3, (gx, gxi)))
-        lines = ["x,xi,value"]
-        for a, x in enumerate(field.x_centers):
-            for b, xi in enumerate(field.xi_centers):
-                lines.append(f"{fmt_float(x)},{fmt_float(xi)},"
-                             f"{fmt_float(field.values[a, b])}")
-        want = ("\n".join(lines) + "\n").encode()
+        field = random_husimi_field(40, 33)
         path = write_husimi_csv(tmp_path / "h.csv", field)
-        assert path.read_bytes() == want
+        assert path.read_bytes() == per_cell_husimi_bytes(field)
+
+
+def random_husimi_field(gx: int, gxi: int) -> HusimiField:
+    rng = np.random.default_rng(8)
+    return HusimiField((np.arange(gx) + 0.5) / gx,
+                       (np.arange(gxi) + 0.5) / gxi,
+                       rng.random((gx, gxi)) * 10.0 ** rng.integers(-9, 3, (gx, gxi)))
+
+
+def per_cell_husimi_bytes(field: HusimiField) -> bytes:
+    """Oracle: the Husimi CSV formatted cell by cell and joined."""
+    lines = ["x,xi,value"]
+    for a, x in enumerate(field.x_centers):
+        for b, xi in enumerate(field.xi_centers):
+            lines.append(f"{fmt_float(x)},{fmt_float(xi)},"
+                         f"{fmt_float(field.values[a, b])}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 def fraction_intervals_csv(path, intervals):
@@ -478,6 +492,129 @@ class TestIntervalsCsvOracle:
             escape_report(spec, horizon).survivor_intervals)
         assert ((tmp_path / "out" / "escape_intervals.csv").read_bytes()
                 == want.read_bytes())
+
+
+def joined_lines_bytes(lines) -> bytes:
+    """Oracle: the file write_lines wrote from its whole joined text."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def joined_intervals_bytes(intervals) -> bytes:
+    """Oracle: write_intervals_csv's file as one list of lines, joined."""
+    den = intervals.den
+    lines = ["lo_num,lo_den,hi_num,hi_den"]
+    for lo, hi in zip(intervals.los, intervals.his):
+        g, h = math.gcd(lo, den), math.gcd(hi, den)
+        lines.append(f"{lo // g},{den // g},{hi // h},{den // h}")
+    return joined_lines_bytes(lines)
+
+
+@pytest.fixture(scope="module")
+def cover_d3_horizon_15():
+    """The 2^15 = 32768 survivor intervals of escape D3 --horizon 15."""
+    spec = validate_spec(["0", "1/3", "2/3", "1"], [0, 2])
+    return escape_report(spec, 15).survivor_intervals
+
+
+@pytest.fixture(scope="module")
+def thermo_payload():
+    """thermo.json's payload at --s-grid=-1:3:20000, 40000 floats."""
+    spec = validate_spec(["0", "1/2", "3/4", "1"], [0, 2])
+    report = thermo_report(spec, parse_float_grid("-1:3:20000"))
+    return {"partition": list(spec.partition), "keep": list(spec.keep),
+            "s_grid": list(report.s_grid),
+            "pressure_values": list(report.values), "nu": report.nu,
+            "gamma_cl": report.gamma_cl, "h_top": report.h_top,
+            "g_half": report.g_half, "g_cl": report.g_cl,
+            "convexity_ok": report.convexity_ok}
+
+
+def traced_peak(write) -> int:
+    """Bytes a call allocates at its peak beyond what exists before it."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingWriters:
+    """Text writers hand _BATCH lines or JSON pieces to the file at a
+    time; their bytes must equal those of the whole text joined, and a
+    write that fails must leave no file."""
+
+    @pytest.mark.parametrize("count", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
+                                       2 * _BATCH + 3])
+    def test_write_lines_bytes(self, tmp_path, count):
+        lines = [f"line {i}" for i in range(count)]
+        path = write_lines(tmp_path / "x.txt", iter(lines))
+        assert path.read_bytes() == joined_lines_bytes(lines)
+        assert write_lines(tmp_path / "y.txt", lines).read_bytes() \
+            == joined_lines_bytes(lines)
+
+    def test_write_lines_empty_first_line(self, tmp_path):
+        for lines in ([""], ["", ""], ["", "a"], ["a", ""]):
+            path = write_lines(tmp_path / "x.txt", lines)
+            assert path.read_bytes() == joined_lines_bytes(lines)
+
+    def test_intervals_csv_bytes(self, tmp_path, cover_d3_horizon_15):
+        assert len(cover_d3_horizon_15.los) == 2 ** 15
+        path = write_intervals_csv(tmp_path / "iv.csv", cover_d3_horizon_15)
+        assert path.read_bytes() == joined_intervals_bytes(cover_d3_horizon_15)
+
+    def test_husimi_csv_bytes(self, tmp_path):
+        # the benchmark's grid: 36865 lines, nine batches
+        field = random_husimi_field(192, 192)
+        path = write_husimi_csv(tmp_path / "h.csv", field)
+        assert path.read_bytes() == per_cell_husimi_bytes(field)
+
+    def test_thermo_json_bytes(self, tmp_path, thermo_payload):
+        path = write_json(tmp_path / "thermo.json", thermo_payload)
+        assert path.read_bytes() == old_json_bytes(thermo_payload)
+
+    def test_intervals_csv_holds_one_batch(self, tmp_path,
+                                           cover_d3_horizon_15):
+        # the joined writer allocated 4.78 MiB beyond its input here
+        peak = traced_peak(lambda: write_intervals_csv(
+            tmp_path / "iv.csv", cover_d3_horizon_15))
+        assert peak < 2 ** 20
+
+    def test_thermo_json_holds_one_batch(self, tmp_path, thermo_payload):
+        # the joined writer allocated 3.72 MiB beyond its input here
+        peak = traced_peak(lambda: write_json(tmp_path / "thermo.json",
+                                              thermo_payload))
+        assert peak < 2 ** 20
+
+    def test_failed_line_producer_leaves_no_file(self, tmp_path):
+        def lines():
+            # two batches reach the file before the failure
+            yield from map(str, range(2 * _BATCH + 1))
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            write_lines(tmp_path / "x.csv", lines())
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_failed_csv_row_leaves_no_file(self, tmp_path):
+        radii = [0.5] * (3 * _BATCH)
+        counts = [1] * (3 * _BATCH - 1) + ["not a count"]
+        with pytest.raises(ValueError):
+            write_counts_csv(tmp_path / "c.csv", radii, counts, radii)
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_late_bad_json_value_leaves_no_file(self, tmp_path):
+        # the set sorts after more than two batches of floats
+        payload = {"a": [0.5] * (2 * _BATCH + 1), "b": {1, 2}}
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "x.json", payload)
+        assert not (tmp_path / "x.json").exists()
+
+    def test_failed_overwrite_leaves_no_file(self, tmp_path):
+        path = write_lines(tmp_path / "x.csv", ["old"])
+        with pytest.raises(TypeError):
+            write_json(path, [0.5] * (2 * _BATCH) + [object()])
+        assert not path.exists()
 
 
 class TestPgm:
