@@ -38,17 +38,23 @@ the exact commands (escape, thermo) start without loading it.
 The symbolic refinement runs on integer numerators over the common
 denominator Q^m, and the level-m intervals stay in that form
 (:class:`Intervals`) all the way to their readers; only the one volume
-per level is a ``fractions.Fraction``.
+per level is a ``fractions.Fraction``.  The level-m cover and the
+pressure curve are produced in batches on access (:class:`Cover`,
+:class:`LazySequence`), so memory does not grow with the level or the
+grid.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, product
 from math import exp, inf, lcm, log, sqrt
 from operator import sub
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .errors import (
     EmptyOrFullKeepSet,
@@ -63,6 +69,8 @@ from .errors import (
 __all__ = [
     "BakerSpec",
     "Intervals",
+    "Cover",
+    "LazySequence",
     "EscapeReport",
     "PressureReport",
     "validate_spec",
@@ -80,6 +88,8 @@ Rational = Union[Fraction, int, str]
 
 # Hard cap on how many cover intervals any operation may enumerate.
 INTERVAL_GUARD = 10**7
+# Most intervals or points a streamed cover or lazy sequence produces at once.
+_BLOCK = 4096
 # Decimal digits past which Python refuses to convert an int to or from
 # text by default, so no exact numerator that passes it could be written.
 _DIGIT_GUARD = 4300
@@ -237,32 +247,66 @@ class Intervals:
     Fraction; readers reduce or divide only what they need.
     """
 
-    los: Tuple[int, ...]
-    his: Tuple[int, ...]
+    los: Sequence[int]
+    his: Sequence[int]
     den: int
 
     def __len__(self) -> int:
         return len(self.los)
 
 
-def _refine(spec: BakerSpec, level: int) -> Tuple[Tuple[Fraction, ...],
-                                                 Intervals]:
+@dataclass(frozen=True)
+class Cover:
+    """A level-m cover held as the rule that produces it: iterating yields
+    its :class:`Intervals` over den in ascending batches of at most
+    _BLOCK, afresh each time, and ``los`` and ``his`` join them."""
+
+    den: int
+    count: int
+    batches: Callable[[], Iterator[Intervals]]
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[Intervals]:
+        return self.batches()
+
+    @property
+    def los(self) -> Tuple[int, ...]:
+        return tuple(chain.from_iterable(batch.los for batch in self))
+
+    @property
+    def his(self) -> Tuple[int, ...]:
+        return tuple(chain.from_iterable(batch.his for batch in self))
+
+
+def _refine(spec: BakerSpec, level: int) -> Tuple[Tuple[Fraction, ...], Cover]:
     """The symbolic refinement loop: map [0, 1) ``level`` times to
     x_s + ell_s * I for every kept symbol s.
 
     Returns the surviving length after each step, summed from the actual
     interval widths rather than the closed form (sum ell)^m, and the
-    level-``level`` intervals.  Kept symbols ascend and each maps [0, 1)
-    onto its own rectangle [x_s, x_s + ell_s), so the intervals come out
-    sorted and disjoint without a sort.
+    level-``level`` :class:`Cover`.  Kept symbols ascend and each maps
+    [0, 1) onto its own rectangle [x_s, x_s + ell_s), so the intervals come
+    out sorted and disjoint without a sort.
 
     The loop runs on Python-int numerators over Q^m, with Q the lcm of the
     partition denominators: symbol s is (a_s, b_s) = (Q x_s, Q ell_s), and
     one step maps (lo, hi) over Q^m to (a_s Q^m + b_s lo, a_s Q^m + b_s hi)
     over Q^(m+1).  The numerators pass 2^63 (Q = 47 at m = 12), so they
-    must never become fixed-width integers.  The intervals stay integer
-    numerators over Q^m: they are returned as :class:`Intervals`, not
-    reduced to lowest terms.
+    must never become fixed-width integers, and they are not reduced to
+    lowest terms.
+
+    The loop builds the first d levels while they fit in one batch of
+    _BLOCK.  The cover is self-similar: a level d + k interval is the
+    image of a level-d one under the word s_1 ... s_k of its k outer
+    symbols, the integer affine map x -> A + B x from Q^d to Q^(d+k) with
+    B = b_1 ... b_k and A = sum_j a_j Q^(d+k-j) b_1 ... b_(j-1).  Each
+    deeper level is produced one word's image of the level-d block at a
+    time, words in lexicographic order, outermost symbol most
+    significant, so the batches ascend; its surviving length is summed
+    from those batches, and the cover produces level ``level`` anew on
+    each iteration.  Memory is O(_BLOCK) at any level.
     """
     n = len(spec.keep)
     if _power_exceeds(n, level, INTERVAL_GUARD):
@@ -280,13 +324,31 @@ def _refine(spec: BakerSpec, level: int) -> Tuple[Tuple[Fraction, ...],
                for s in spec.keep]
     los, his, den = [0], [1], 1
     alive = []
-    for _ in range(level):
+    while len(alive) < level and len(los) * n <= _BLOCK:
         shifts = [(a * den, b) for a, b in symbols]
         los = [c + b * lo for c, b in shifts for lo in los]
         his = [c + b * hi for c, b in shifts for hi in his]
         den *= Q
         alive.append(Fraction(sum(map(sub, his, los)), den))
-    return tuple(alive), Intervals(tuple(los), tuple(his), den)
+
+    def batches(outer: int) -> Iterator[Intervals]:
+        top = den * Q ** outer
+        for word in product(symbols, repeat=outer):
+            A, B, scale = 0, 1, top
+            for a, b in word:
+                scale //= Q
+                A += a * scale * B
+                B *= b
+            yield Intervals([A + B * lo for lo in los],
+                            [A + B * hi for hi in his], top)
+
+    outer = level - len(alive)
+    for k in range(1, outer + 1):
+        width = sum(sum(map(sub, batch.his, batch.los))
+                    for batch in batches(k))
+        alive.append(Fraction(width, den * Q ** k))
+    return tuple(alive), Cover(den * Q ** outer, len(los) * n ** outer,
+                               partial(batches, outer))
 
 
 @dataclass(frozen=True)
@@ -296,13 +358,13 @@ class EscapeReport:
     ``escaped_volumes[m-1]`` is Vol(D_m), the measure of points with
     escape time < m; with the time-0 convention D_1 is exactly the hole.
     Survivor intervals are the x-projections of the level-n cover, as
-    integer numerators over Q^n.
+    integer numerators over Q^n, produced in batches on each iteration.
     """
 
     horizon: int
     escaped_volumes: Tuple[Fraction, ...]
     survivor_volume: Fraction
-    survivor_intervals: Intervals
+    survivor_intervals: Cover
 
 
 def escape_report(spec: BakerSpec, horizon: int) -> EscapeReport:
@@ -337,7 +399,8 @@ def trapped_cover(spec: BakerSpec, level: int) -> Intervals:
     """
     if level < 1:
         raise ValueError("cover level must be >= 1")
-    return _refine(spec, level)[1]
+    cover = _refine(spec, level)[1]
+    return Intervals(cover.los, cover.his, cover.den)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +488,36 @@ def cantor_dimension(spec: BakerSpec) -> float:
     return 0.5 * (lo + hi)
 
 
-def _linspace(lo: float, hi: float, count: int) -> List[float]:
-    """np.linspace(lo, hi, count).tolist() bit for bit, for count >= 1.
+class LazySequence(Sequence):
+    """A sequence of count items computed on access, never held: items(start,
+    stop) returns those at indices start..stop-1 as a list, and iteration
+    takes them _BLOCK at a time."""
+
+    def __init__(self, count: int,
+                 items: Callable[[int, int], List[float]]) -> None:
+        self._count, self._items = count, items
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, stride = key.indices(self._count)
+            if stride == 1:
+                return self._items(start, max(start, stop))
+            return [self[i] for i in range(start, stop, stride)]
+        index = range(self._count)[key]
+        return self._items(index, index + 1)[0]
+
+    def __iter__(self) -> Iterator[float]:
+        starts = range(0, self._count, _BLOCK)
+        stops = chain(starts[1:], (self._count,))
+        return chain.from_iterable(map(self._items, starts, stops))
+
+
+def _linspace(lo: float, hi: float, count: int) -> LazySequence:
+    """np.linspace(lo, hi, count).tolist() bit for bit, for count >= 1,
+    as a :class:`LazySequence` that computes each point by its index.
 
     The same float operations in the same order: index times step plus
     lo, or, where the step underflows to 0, (index / div) times the span
@@ -434,15 +525,19 @@ def _linspace(lo: float, hi: float, count: int) -> List[float]:
     """
     div = count - 1
     delta = hi - lo
-    if div == 0:
-        return [0.0 * delta + lo]
-    step = delta / div
-    if step == 0:
-        grid = [(i / div) * delta + lo for i in range(count)]
-    else:
-        grid = [i * step + lo for i in range(count)]
-    grid[-1] = hi
-    return grid
+    step = delta / div if div else 0.0
+
+    def points(start: int, stop: int) -> List[float]:
+        if div == 0:
+            return [0.0 * delta + lo] * (stop - start)
+        if step == 0:
+            grid = [(i / div) * delta + lo for i in range(start, stop)]
+        else:
+            grid = [i * step + lo for i in range(start, stop)]
+        if stop == count and grid:
+            grid[-1] = hi
+        return grid
+    return LazySequence(count, points)
 
 
 @dataclass(frozen=True)
@@ -454,8 +549,8 @@ class PressureReport:
     chain -gamma_cl/2 <= P(-phi+/2) <= (H_top - gamma_cl)/2 held.
     """
 
-    s_grid: Tuple[float, ...]
-    values: Tuple[float, ...]
+    s_grid: Sequence[float]
+    values: Sequence[float]
     nu: float
     gamma_cl: float
     h_top: float
@@ -466,12 +561,29 @@ class PressureReport:
 
 def thermo_report(spec: BakerSpec,
                   s_grid: Optional[Sequence[float]] = None) -> PressureReport:
-    """Pressure on a grid plus nu, gamma_cl, H_top and the gap constants."""
+    """Pressure on a grid plus nu, gamma_cl, H_top and the gap constants.
+
+    A :class:`LazySequence` grid, as :func:`_linspace` and the CLI give,
+    is kept as it is, and any other grid is copied as floats; the values
+    are a :class:`LazySequence` that evaluates the closed form per point.
+    """
     if s_grid is None:
         s_grid = _linspace(-1.0, 3.0, 50)
-    s_grid = tuple(float(s) for s in s_grid)
+    elif not isinstance(s_grid, LazySequence):
+        s_grid = tuple(float(s) for s in s_grid)
     lengths = [float(l) for l in spec.kept_lengths]
-    values = tuple(_closed_form(lengths, s) for s in s_grid)
+    values = LazySequence(len(s_grid), lambda start, stop: [
+        _closed_form(lengths, s) for s in s_grid[start:stop]])
+    # sum ell^s is monotone in s, so the grid stays in the float range
+    # where its two extremes do; past them, the walk refuses the first
+    # point that leaves it, as an eager walk over the grid would
+    try:
+        for s in (min(s_grid), max(s_grid)) if s_grid else ():
+            _closed_form(lengths, s)
+    except ValidationError:
+        for _ in values:
+            pass
+        raise
 
     nu = cantor_dimension(spec)
     surviving = float(spec.survival_fraction)

@@ -213,8 +213,9 @@ def parse_dimensions(text: str) -> List[int]:
     return list(values)
 
 
-def parse_float_grid(text: str) -> List[float]:
-    """lo:hi:count linear grid, at most INTERVAL_GUARD points."""
+def parse_float_grid(text: str) -> Sequence[float]:
+    """lo:hi:count linear grid, at most INTERVAL_GUARD points, computed
+    by index on access."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"grid must be lo:hi:count, got {text!r}")
@@ -313,8 +314,8 @@ def cmd_thermo(args, out: Path):
         "spec_digest": digest,
         "partition": list(spec.partition),
         "keep": list(spec.keep),
-        "s_grid": list(report.s_grid),
-        "pressure_values": list(report.values),
+        "s_grid": report.s_grid,
+        "pressure_values": report.values,
         "nu": report.nu,
         "gamma_cl": report.gamma_cl,
         "h_top": report.h_top,

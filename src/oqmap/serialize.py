@@ -3,11 +3,12 @@
 All text output is UTF-8 with '.' decimals and LF newlines regardless of
 locale and platform: files are opened with newline="\n", so no "\n" is
 translated to CRLF.  Text writers stream: each turns its rows, or its
-one JSON walk, into pieces of about a line, and _write_text joins and
-writes _BATCH of them at a time, so a writer holds one batch of text,
-never the whole file.  A write that fails, in its producer or in the
-file, removes its partial file before the error propagates, so it
-leaves no file; the binary matrix writer does the same.
+one JSON walk, into pieces of text, and _write_text buffers them and
+writes at most _FLUSH characters at a time (or one longer piece), so a
+writer holds one batch of text, never the whole file.  A write that
+fails, in its producer or in the file, removes its partial file before
+the error propagates, so it leaves no file; the binary matrix writer
+does the same.
 
 CSV floats print as %.17g (17 significant digits always round-trip).
 JSON is emitted with sorted keys and two-space indent so identical
@@ -35,11 +36,11 @@ import struct
 from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-from .classical import Intervals
+from .classical import Cover, Intervals, LazySequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,7 +67,8 @@ __all__ = [
 
 MAGIC = b"OQMAPv1\0"
 _PGM_DYNAMIC_RANGE = 1e-12
-_BATCH = 4096  # text pieces, about one line each, joined per write
+_BATCH = 4096  # list items per piece of JSON text
+_FLUSH = 1 << 16  # characters of text per write
 
 PathLike = Union[str, Path]
 
@@ -98,12 +100,20 @@ def _removed_on_failure(path: Path, mode: str, **kwargs):
 
 def _write_text(path: PathLike, pieces: Iterable[str], end: str = "") -> Path:
     """Each piece followed by end, as UTF-8 with LF newlines: the pieces
-    are joined and written _BATCH at a time."""
+    are buffered, and joined and written before the buffer would pass
+    _FLUSH characters, so a write holds at most _FLUSH of them or one
+    longer piece."""
     path = Path(path)
-    pieces = iter(pieces)
     with _removed_on_failure(path, "w", encoding="utf-8", newline="\n") as fh:
-        while batch := list(islice(pieces, _BATCH)):
-            fh.write(end.join(batch) + end)
+        buffer, size = [], 0
+        for piece in pieces:
+            if size + len(piece) > _FLUSH and buffer:
+                fh.write(end.join(buffer) + end)
+                buffer, size = [], 0
+            buffer.append(piece)
+            size += len(piece) + len(end)
+        if buffer:
+            fh.write(end.join(buffer) + end)
     return path
 
 
@@ -118,7 +128,9 @@ def write_lines(path: PathLike, lines: Iterable[str]) -> Path:
 def _json_text(obj, pad: str = "") -> Iterator[str]:
     """The pieces of the text json.dumps(..., sort_keys=True, indent=2)
     gives for a report value's plain-type equivalent, floats as
-    float.__repr__: a dict key by key, a list item by item.
+    float.__repr__: a dict key by key, a list or LazySequence in slices
+    of _BATCH items, each slice of finite floats one piece and any other
+    item by item.
 
     Fractions become {"num","den"}, complex numbers {"re","im"}, numpy
     scalars and arrays their Python equivalents, dataclasses dicts.
@@ -131,21 +143,24 @@ def _json_text(obj, pad: str = "") -> Iterator[str]:
         yield float.__repr__(obj) if math.isfinite(obj) else f'"{fmt_float(obj)}"'
     elif kind is int or kind is str or kind is bool or obj is None:
         yield json.dumps(obj, allow_nan=False)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, LazySequence)):
         if not obj:
             yield "[]"
             return
         inner = pad + "  "
         first, sep = "[\n" + inner, ",\n" + inner
-        # finite floats, the bulk of a report, inline without a call;
-        # local names spare two lookups per item
         isfinite, text = math.isfinite, float.__repr__
-        for i, x in enumerate(obj):
-            if type(x) is float and isfinite(x):
-                yield (sep if i else first) + text(x)
-            else:
-                yield sep if i else first
+        for start in range(0, len(obj), _BATCH):
+            items = obj[start:start + _BATCH]
+            lead = sep if start else first
+            # a slice of finite floats, the bulk of a report, is one piece
+            if set(map(type, items)) == {float} and all(map(isfinite, items)):
+                yield lead + sep.join(map(text, items))
+                continue
+            for x in items:
+                yield lead
                 yield from _json_text(x, inner)
+                lead = sep
         yield "\n" + pad + "]"
     elif isinstance(obj, dict):
         if not obj:
@@ -254,23 +269,28 @@ def write_matrix_csv(path: PathLike, matrix: np.ndarray) -> Path:
 # tabular reports
 # ---------------------------------------------------------------------------
 
-def write_intervals_csv(path: PathLike, intervals: Intervals) -> Path:
+def write_intervals_csv(path: PathLike,
+                        intervals: Union[Intervals, Cover]) -> Path:
     """Columns (lo_num, lo_den, hi_num, hi_den), each endpoint in lowest
-    terms: one gcd against the common denominator per endpoint."""
+    terms: one gcd against the common denominator per endpoint.  Each
+    batch of a Cover, or an Intervals as one batch, is one piece of
+    text."""
     den = intervals.den
+    batches = [intervals] if isinstance(intervals, Intervals) else intervals
     # the text of den // g, per gcd: about m + 1 distinct gcds divide Q^m
     reduced = {}
 
-    def lines():
-        yield "lo_num,lo_den,hi_num,hi_den"
-        for lo, hi in zip(intervals.los, intervals.his):
-            g, h = math.gcd(lo, den), math.gcd(hi, den)
+    def text(batch: Intervals) -> str:
+        los, his = batch.los, batch.his
+        glos = list(map(math.gcd, los, repeat(den)))
+        ghis = list(map(math.gcd, his, repeat(den)))
+        for g in set(glos).union(ghis):
             if g not in reduced:
                 reduced[g] = str(den // g)
-            if h not in reduced:
-                reduced[h] = str(den // h)
-            yield f"{lo // g},{reduced[g]},{hi // h},{reduced[h]}"
-    return write_lines(path, lines())
+        return "\n".join([f"{lo // g},{reduced[g]},{hi // h},{reduced[h]}"
+                          for lo, g, hi, h in zip(los, glos, his, ghis)])
+    return _write_text(path, chain(("lo_num,lo_den,hi_num,hi_den",),
+                                   map(text, batches)), "\n")
 
 
 def write_spectrum_csv(path: PathLike, eigenvalues: Sequence[complex]) -> Path:
@@ -336,6 +356,6 @@ def write_husimi_pgm(path: PathLike, field: HusimiField) -> Path:
 def sha256_file(path: PathLike) -> str:
     digest = hashlib.sha256()
     with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()

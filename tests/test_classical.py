@@ -8,6 +8,7 @@ and the transfer-operator route.
 
 import inspect
 import itertools
+import json
 import math
 import random
 import textwrap
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from oqmap import (
     BakerSpec,
+    Intervals,
     cantor_dimension,
     escape_report,
     pressure,
@@ -32,6 +34,7 @@ from oqmap import (
     validate_spec,
 )
 from oqmap import classical
+from oqmap.cli import main
 from oqmap.classical import _linspace, _perron_frobenius_full_shift, _refine
 from oqmap.errors import (
     EmptyOrFullKeepSet,
@@ -322,7 +325,8 @@ class TestEscapeReport:
     def test_survivors_match_trapped_cover(self, spec3, asym_spec):
         for spec in (spec3, asym_spec):
             for m in (1, 2, 3):
-                assert (escape_report(spec, m).survivor_intervals
+                survivors = escape_report(spec, m).survivor_intervals
+                assert (Intervals(survivors.los, survivors.his, survivors.den)
                         == trapped_cover(spec, m))
 
     def test_horizon_validation(self, spec3):
@@ -486,6 +490,99 @@ class TestIntegerRefinement:
         assert_matches_fractions(spec3, 1)
         with pytest.raises(AssertionError):
             assert_matches_fractions(spec3, 2)
+
+
+# ---------------------------------------------------------------------------
+# the streamed cover against the list loop
+# ---------------------------------------------------------------------------
+
+def list_refine(spec, level):
+    """Oracle: the refinement as one list loop that holds every level,
+    returning (surviving lengths, los, his, den)."""
+    Q = math.lcm(*(p.denominator for p in spec.partition))
+    symbols = [(int(Q * spec.partition[s]), int(Q * spec.lengths[s]))
+               for s in spec.keep]
+    los, his, den = [0], [1], 1
+    alive = []
+    for _ in range(level):
+        shifts = [(a * den, b) for a, b in symbols]
+        los = [c + b * lo for c, b in shifts for lo in los]
+        his = [c + b * hi for c, b in shifts for hi in his]
+        den *= Q
+        alive.append(Fraction(sum(hi - lo for lo, hi in zip(los, his)), den))
+    return tuple(alive), los, his, den
+
+
+def list_escape_bytes(spec, horizon):
+    """Oracle: escape.json and escape_intervals.csv from the list loop,
+    through json.dumps and one Fraction per endpoint."""
+    alive, los, his, den = list_refine(spec, horizon)
+
+    def exact(x):
+        return {"num": x.numerator, "den": x.denominator}
+    payload = {
+        "spec_digest": spec_digest(spec),
+        "partition": [exact(p) for p in spec.partition],
+        "keep": list(spec.keep),
+        "horizon": horizon,
+        "escaped_volumes": [exact(1 - a) for a in alive],
+        "survivor_volume": exact(alive[-1]),
+        "survivor_interval_count": len(los),
+    }
+    lines = ["lo_num,lo_den,hi_num,hi_den"]
+    for lo, hi in zip(los, his):
+        a, b = Fraction(lo, den), Fraction(hi, den)
+        lines.append(f"{a.numerator},{a.denominator},"
+                     f"{b.numerator},{b.denominator}")
+    return ((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode(),
+            ("\n".join(lines) + "\n").encode())
+
+
+# (partition, keep, horizons): the inner block is 12 levels deep for two
+# kept symbols, 7 for three and 5 for five, so each family runs below, at
+# and above it; one kept symbol never leaves it
+STREAMED_CASES = [
+    ("0,1/3,2/3,1", "0,2", range(1, 16)),
+    ("0,1/2,3/4,1", "0,2", [15]),
+    ("0,1/4,1/2,3/4,1", "0,1,3", [6, 7, 8, 9]),
+    ("0,1/6,1/3,1/2,2/3,5/6,1", "0,1,2,3,4", [4, 5, 6]),
+    ("0,1/3,2/3,1", "1", [1, 40]),
+    ("0,1/2,1", "0", [200]),
+    ("0,1/47,30/47,1", "0,2", [12]),  # numerators past 2^63
+]
+
+
+@pytest.mark.parametrize("partition,keep,horizon", [
+    (partition, keep, h) for partition, keep, hs in STREAMED_CASES
+    for h in hs])
+class TestStreamedCover:
+    def spec(self, partition, keep):
+        return validate_spec(partition.split(","),
+                             [int(k) for k in keep.split(",")])
+
+    def test_escape_bytes_match_list_loop(self, tmp_path, partition, keep,
+                                          horizon):
+        assert main(["escape", "--partition", partition, "--keep", keep,
+                     "--horizon", str(horizon),
+                     "--outdir", str(tmp_path)]) == 0
+        want_json, want_csv = list_escape_bytes(self.spec(partition, keep),
+                                                horizon)
+        assert (tmp_path / "escape.json").read_bytes() == want_json
+        assert (tmp_path / "escape_intervals.csv").read_bytes() == want_csv
+
+    def test_cover_matches_list_loop(self, partition, keep, horizon):
+        spec = self.spec(partition, keep)
+        alive, los, his, den = list_refine(spec, horizon)
+        assert trapped_cover(spec, horizon) == Intervals(tuple(los),
+                                                         tuple(his), den)
+        got_alive, cover = _refine(spec, horizon)
+        assert got_alive == alive
+        assert (len(cover), cover.den) == (len(los), den)
+        batches = list(cover)
+        assert all(0 < len(b) <= classical._BLOCK and b.den == den
+                   for b in batches)
+        assert [x for b in batches for x in b.los] == los
+        assert [x for b in batches for x in b.his] == his
 
 
 @pytest.mark.parametrize("bound", [1, 2, 5000, 10**7, 10**40])
@@ -714,3 +811,75 @@ class TestThermoReport:
         report = thermo_report(spec3, grid)
         assert np.allclose(report.s_grid, grid)
         assert report.values[0] == pytest.approx(LOG2, abs=1e-14)
+
+
+def list_linspace(lo, hi, count):
+    """Oracle: np.linspace's float rule as one list."""
+    div = count - 1
+    delta = hi - lo
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    if step == 0:
+        grid = [(i / div) * delta + lo for i in range(count)]
+    else:
+        grid = [i * step + lo for i in range(count)]
+    grid[-1] = hi
+    return grid
+
+
+BLOCK = classical._BLOCK
+
+
+class TestLazyGrid:
+    @pytest.mark.parametrize("lo,hi,count", [
+        pytest.param(0.0, 1.0, 1, id="one point"),
+        pytest.param(2.5, -1.0, 1, id="one point, hi unused"),
+        pytest.param(3.0, -1.0, 50, id="descending"),
+        pytest.param(-1.0, 3.0, BLOCK, id="one block"),
+        pytest.param(-1.0, 3.0, BLOCK + 1, id="one block and a point"),
+        pytest.param(-1.0, 3.0, 3 * BLOCK + 5, id="four blocks"),
+        pytest.param(0.0, 1e-323, 7, id="step underflows to 0"),
+        pytest.param(0.0, 1e-323, 2 * BLOCK + 3,
+                     id="step underflows to 0, three blocks"),
+    ])
+    def test_grid_matches_list_rule(self, lo, hi, count):
+        want = [x.hex() for x in list_linspace(lo, hi, count)]
+        grid = _linspace(lo, hi, count)
+        assert len(grid) == count
+        assert [x.hex() for x in grid] == want
+        assert [grid[i].hex() for i in range(count)] == want
+        assert [grid[i].hex() for i in range(-count, 0)] == want
+        for a, b in ((0, count), (1, count - 1), (count - 1, count + 5),
+                     (BLOCK - 1, BLOCK + 2), (5, 2)):
+            assert [x.hex() for x in grid[a:b]] == want[a:b]
+        assert [x.hex() for x in grid[::-3]] == want[::-3]
+        for bad in (count, -count - 1):
+            with pytest.raises(IndexError):
+                grid[bad]
+
+    def test_values_match_pressure_per_point(self, asym_spec):
+        grid = _linspace(-1.0, 3.0, 2 * BLOCK + 3)
+        report = thermo_report(asym_spec, grid)
+        assert report.s_grid is grid
+        want = [pressure(asym_spec, s).hex()
+                for s in list_linspace(-1.0, 3.0, 2 * BLOCK + 3)]
+        assert [v.hex() for v in report.values] == want
+        assert [report.values[i].hex() for i in (0, BLOCK, -1)] == [
+            want[0], want[BLOCK], want[-1]]
+        assert [v.hex() for v in report.values[BLOCK - 2:BLOCK + 2]] == (
+            want[BLOCK - 2:BLOCK + 2])
+
+    def test_interior_point_refused_as_the_eager_walk_did(self):
+        # the underflow starts inside the grid: s = 750 is the first point
+        # past it and s = 1000 the extreme the refusal is checked on
+        spec = validate_spec(("0", "1/47", "30/47", "1"), (0, 2))
+        with pytest.raises(ValidationError) as err:
+            thermo_report(spec, _linspace(0.0, 1000.0, 5))
+        assert str(err.value) == (
+            "pressure at s=750.0 leaves the float range: the sum of the "
+            "kept widths (0.0212766, 0.361702) to the power s is 0.0")
+
+    def test_unordered_grid_refused_at_its_extremes(self, spec3):
+        with pytest.raises(ValidationError, match="s=-2000.0"):
+            thermo_report(spec3, [1.0, -2000.0, 0.5])

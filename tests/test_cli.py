@@ -55,6 +55,7 @@ from oqmap.serialize import (
     read_matrix,
     sha256_file,
     write_counts_csv,
+    write_json,
     write_lines,
     write_matrix,
     write_matrix_csv,
@@ -67,6 +68,7 @@ from test_acceptance import CLI_RUNS
 
 D3 = ["--partition", "0,1/3,2/3,1", "--keep", "0,2"]
 D5 = ["--partition", "0,1/5,2/5,3/5,4/5,1", "--keep", "1,3"]
+ASYM = ["--partition", "0,1/2,3/4,1", "--keep", "0,2"]
 
 
 def run(argv):
@@ -83,6 +85,16 @@ def refuse_constant(token):
 
 def unreachable(*args, **kwargs):
     raise AssertionError("expensive call reached before input validation")
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of one successful in-process command."""
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def exit_status(argv):
@@ -244,6 +256,37 @@ class TestThermo:
         assert s in err and "widths" in err
         assert not any(tmp_path.iterdir())
 
+    def test_refusal_comes_before_any_file(self, tmp_path, capsys,
+                                           monkeypatch):
+        # s = 1000, the grid's top, leaves the float range, and s = 750 is
+        # the first point that does; thermo.json is never opened
+        monkeypatch.setattr(oqmap.cli, "write_json", unreachable)
+        assert run(["thermo", "--partition", "0,1/47,30/47,1", "--keep",
+                    "0,2", "--s-grid=0:1000:5", "--outdir", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            "oqmap: error: pressure at s=750.0 leaves the float range: the "
+            "sum of the kept widths (0.0212766, 0.361702) to the power s "
+            "is 0.0\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_point_past_the_extremes_check_leaves_no_file(self, tmp_path):
+        # NaN sorts nowhere, so only the walk of the values meets it; the
+        # writer removes its partial file
+        spec = validate_spec(("0", "1/3", "2/3", "1"), (0, 2))
+        report = thermo_report(spec, [0.0] * 5000 + [math.nan, 1.0])
+        with pytest.raises(ValidationError, match="s=nan"):
+            write_json(tmp_path / "thermo.json", {"values": report.values})
+        assert not any(tmp_path.iterdir())
+
+    def test_million_points_in_bounded_memory(self, tmp_path):
+        # a grid and values held as tuples took the peak to 85 MiB
+        peak = traced_peak(["thermo", *ASYM, "--s-grid=-1:3:1000000",
+                            "--outdir", tmp_path])
+        assert peak < 2 << 20
+        # two lists of 10^6 values, one a line, and 35 lines of the rest
+        with (tmp_path / "thermo.json").open() as fh:
+            assert sum(1 for _ in fh) == 2 * 10 ** 6 + 35
+
     def test_s_grid_span_overflow_exits_2(self, tmp_path, capsys):
         # both ends are finite, but linspace's step hi - lo is not
         with warnings.catch_warnings():
@@ -268,6 +311,25 @@ class TestEscape:
         assert lines[0] == "lo_num,lo_den,hi_num,hi_den"
         assert lines[1] == "0,1,1,81"
         assert len(lines) == 17
+
+    def test_horizon_guard_comes_before_any_file(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(oqmap.cli, "write_json", unreachable)
+        monkeypatch.setattr(oqmap.cli, "write_intervals_csv", unreachable)
+        assert run(["escape", *D3, "--horizon", "24",
+                    "--outdir", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            "oqmap: error: 24 refinement levels need 2^24 intervals "
+            "(guard 10000000)\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_horizon_18_in_bounded_memory(self, tmp_path):
+        # 2^18 intervals; holding every level's lists took the peak to 26 MiB
+        peak = traced_peak(["escape", *D3, "--horizon", "18",
+                            "--outdir", tmp_path])
+        assert peak < 2 << 20
+        with (tmp_path / "escape_intervals.csv").open() as fh:
+            assert sum(1 for _ in fh) == 2 ** 18 + 1
 
     def test_horizon_guard_maps_to_exit_2(self, tmp_path):
         tracemalloc.start()

@@ -5,11 +5,13 @@ Formats are part of the tool's contract (reruns must be byte-identical),
 so these tests pin exact bytes, not just values.
 """
 
+import hashlib
 import json
 import math
 import struct
 import tracemalloc
 from collections import OrderedDict, namedtuple
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
@@ -20,8 +22,11 @@ from hypothesis import given, settings, strategies as st
 from oqmap import (HusimiField, Intervals, escape_report, thermo_report,
                    validate_spec)
 from oqmap.cli import main, parse_float_grid
+from oqmap import serialize
+from oqmap.classical import LazySequence, _linspace
 from oqmap.serialize import (
     _BATCH,
+    _FLUSH,
     MAGIC,
     fmt_float,
     fraction_from_json,
@@ -585,6 +590,55 @@ class TestStreamingWriters:
         peak = traced_peak(lambda: write_json(tmp_path / "thermo.json",
                                               thermo_payload))
         assert peak < 2 ** 20
+
+    def test_writes_hold_at_most_flush_characters(self, tmp_path,
+                                                  monkeypatch):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        @contextmanager
+        def recorded(path, mode, **kwargs):
+            yield Recorder()
+
+        monkeypatch.setattr(serialize, "_removed_on_failure", recorded)
+        long_piece = "y" * (_FLUSH + 7)
+        pieces = ["x" * 100] * 2000 + [long_piece] + ["z" * 999] * 200
+        serialize._write_text(tmp_path / "x.txt", pieces, "\n")
+        assert "".join(writes) == "\n".join(pieces) + "\n"
+        assert len(writes) > 3
+        assert all(len(w) <= _FLUSH or w == long_piece + "\n" for w in writes)
+
+    @pytest.mark.parametrize("items", [
+        pytest.param([0.5] * _BATCH + [math.nan] + [0.25] * _BATCH,
+                     id="nan opens the second slice"),
+        pytest.param([0.1 * i for i in range(2 * _BATCH - 1)] + [math.inf],
+                     id="inf closes the second slice"),
+        pytest.param([1.5] * (_BATCH + 3) + [1, True, None, "a", [2.5]],
+                     id="other types in the second slice"),
+        pytest.param([np.float64(0.1)] + [0.3] * _BATCH + [np.float32(0.2)],
+                     id="numpy floats"),
+        pytest.param([[0.5] * (_BATCH + 1)] * 2, id="nested float lists"),
+    ])
+    def test_float_slices_match_item_walk(self, tmp_path, items):
+        for payload in (items, {"a": tuple(items), "b": 1}):
+            path = write_json(tmp_path / "x.json", payload)
+            assert path.read_bytes() == old_json_bytes(payload)
+
+    def test_lazy_sequence_writes_as_its_list(self, tmp_path):
+        grid = _linspace(-1.0, 3.0, 2 * _BATCH + 5)
+        empty = LazySequence(0, grid.__getitem__)
+        path = write_json(tmp_path / "x.json", {"g": grid, "e": empty})
+        assert path.read_bytes() == old_json_bytes({"g": list(grid),
+                                                    "e": []})
+
+    def test_sha256_file_reads_in_chunks(self, tmp_path):
+        data = bytes(range(256)) * 1000 + b"tail"  # about four reads
+        (tmp_path / "x.bin").write_bytes(data)
+        assert (sha256_file(tmp_path / "x.bin")
+                == hashlib.sha256(data).hexdigest())
 
     def test_failed_line_producer_leaves_no_file(self, tmp_path):
         def lines():
