@@ -88,6 +88,9 @@ Rational = Union[Fraction, int, str]
 
 # Hard cap on how many cover intervals any operation may enumerate.
 INTERVAL_GUARD = 10**7
+# Hard cap on N for the numeric layers (dense storage, O(N^3) solves);
+# kept here so that reading it loads no numpy.
+DENSE_GUARD = 5000
 # Most intervals or points a streamed cover or lazy sequence produces at once.
 _BLOCK = 4096
 # Decimal digits past which Python refuses to convert an int to or from

@@ -41,7 +41,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -49,6 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .classical import (
+    DENSE_GUARD,
     INTERVAL_GUARD,
     _DIGIT_GUARD,
     BakerSpec,
@@ -95,9 +95,9 @@ def _bind_numeric() -> None:
         merged_strip_cover,
     )
     from .quantize import (
-        DENSE_GUARD,
         QuantizationConfig,
         _block_sizes,
+        _joined,
         _kept_block,
         _kept_columns,
         _open_columns,
@@ -109,7 +109,7 @@ def _bind_numeric() -> None:
         _check_nu,
         _check_probes,
         _check_radii,
-        _qr_bound,
+        _with_zeros,
         count_profile,
         effective_hamiltonian,
         eigen_decompose,
@@ -192,8 +192,8 @@ def parse_bloch(text: str) -> Tuple[float, float]:
 
 
 def parse_dimensions(text: str) -> List[int]:
-    """A single N or an inclusive start:stop:step range, at most DENSE_GUARD."""
-    _bind_numeric()  # the guard is the quantize layer's
+    """A single N or an inclusive start:stop:step range, at most
+    DENSE_GUARD, which classical holds, so that no numpy is loaded."""
     parts = text.split(":")
     if len(parts) == 1:
         parts = [parts[0], parts[0], "1"]
@@ -347,27 +347,20 @@ def cmd_escape(args, out: Path):
     return outputs, digest, ()
 
 
-def _with_zeros(spectrum: Spectrum, N: int, frobenius: float) -> Spectrum:
-    """The spectrum of an N x N map from that of its exact core: the
-    core's eigenvalues, then the N - |K| exact zeros, which sort last and
-    stably, as eigen_decompose of the map orders them; the backward error
-    bound is QR's on the map, whose Frobenius norm is frobenius."""
-    values = spectrum.eigenvalues
-    zeros = np.zeros(N - len(values), dtype=values.dtype)
-    return replace(spectrum, eigenvalues=np.concatenate([values, zeros]),
-                   backward_error=_qr_bound(N, frobenius))
-
-
-def _open_spectrum(spec: BakerSpec, config: QuantizationConfig) -> Spectrum:
+def _open_spectrum(spec: BakerSpec, config: QuantizationConfig,
+                   want_vectors: bool = False) -> Spectrum:
     """The eigenvalues of M = U Pi, solved on its kept block M[nz, nz].
 
     M vanishes off the kept columns nz, so its spectrum is the block's
     and N - |nz| exact zeros.  Those columns are orthonormal columns of
-    the unitary U, so ||M||_F = sqrt(|nz|) exactly.
+    the unitary U, so ||M||_F = sqrt(|nz|) exactly.  With want_vectors,
+    .vectors holds the block's unit eigenvectors, |nz| x |nz|, in the
+    order of the first |nz| eigenvalues.
     """
     block = _kept_block(spec, config)
-    return _with_zeros(eigen_decompose(block), config.dimension,
-                       math.sqrt(len(block)))
+    core = eigen_decompose(block, want_vectors)
+    return _with_zeros(core.eigenvalues, config.dimension,
+                       math.sqrt(len(block)), core.vectors)
 
 
 def _lift_mode(v: np.ndarray, Mv: np.ndarray, value: complex,
@@ -394,19 +387,17 @@ def _open_mode(spec: BakerSpec, config: QuantizationConfig, rank: int):
     The product M v = M[:, nz] v[nz], which the lift and the residual
     share, takes one pass over the _kept_columns chunks.
     """
-    block = _kept_block(spec, config)
-    spectrum = eigen_decompose(block, want_vectors=True)
-    N, k = config.dimension, len(block)
-    del block
+    spectrum = _open_spectrum(spec, config, want_vectors=True)
+    value = complex(spectrum.eigenvalues[rank])
     nz, chunks = _kept_columns(spec, config)
+    N, k = config.dimension, nz.size
     rest = np.setdiff1d(np.arange(N), nz)
     v = np.zeros(N, dtype=complex)
     if rank < k:
-        value = complex(spectrum.eigenvalues[rank])
         v[nz] = spectrum.vectors[:, rank]
     else:
-        value = 0j
         v[rest[rank - k]] = 1.0
+    backward_error = spectrum.backward_error
     del spectrum
     y = v[nz]
     Mv = np.zeros(N, dtype=complex)
@@ -418,8 +409,7 @@ def _open_mode(spec: BakerSpec, config: QuantizationConfig, rank: int):
     norm = np.linalg.norm(v)
     mode = v / norm
     residual = float(np.linalg.norm(Mv / norm - value * mode))
-    # ||M||_F = sqrt(|nz|): M's columns nz are orthonormal columns of U
-    return value, mode, residual, _qr_bound(N, math.sqrt(k))
+    return value, mode, residual, backward_error
 
 
 def cmd_spectrum(args, out: Path):
@@ -436,7 +426,7 @@ def cmd_spectrum(args, out: Path):
             # at most
             outputs.append(write_matrix_csv(
                 out / "spectrum_matrix.csv",
-                np.hstack(list(_open_columns(spec, config)))))
+                _joined(_open_columns(spec, config), args.N, args.N)))
     digest = spec_digest(spec)
     payload = {
         "spec_digest": digest,
@@ -577,7 +567,7 @@ def cmd_walsh(args, out: Path):
     # M's spectrum is its core's and N - n^k exact zeros; the bound is
     # on the full M: each of Omega_D's D columns is N/D columns of M, in
     # other rows, and the phases have unit modulus
-    spectrum = _with_zeros(eigen_decompose(block), dimension,
+    spectrum = _with_zeros(eigen_decompose(block).eigenvalues, dimension,
                            math.sqrt(dimension // args.branches)
                            * float(np.linalg.norm(model.omega)))
     moduli = np.abs(spectrum.eigenvalues)
@@ -623,7 +613,7 @@ def cmd_effective(args, out: Path):
     # the cover is cheap and exact: refuse a bad level before quantizing
     quasi = trapped_quasiprojector(spec, config, args.level)
     nz, chunks = _kept_columns(spec, config)
-    report = effective_hamiltonian((nz, np.hstack(list(chunks))),
+    report = effective_hamiltonian((nz, _joined(chunks, args.N, nz.size)),
                                    quasi.diagonal, probes, args.radius,
                                    m_max=args.m_max)
     lines = ["index,eig_re,eig_im,root_re,root_im,distance"]

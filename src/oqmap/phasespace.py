@@ -3,14 +3,14 @@
 A coherent state centred at (x0, xi0) is a periodized Gaussian on the
 position lattice x_j = (j + theta_x)/N,
 
-    psi_j = (2/(N sigma))^{1/4} sum_w exp(-pi N (x_j + w - x0)^2 / sigma)
-                                      exp(2 pi i N xi0 (x_j + w)),
+    psi_j = (2/N)^{1/4} sum_w exp(-pi N (x_j + w - x0)^2)
+                        exp(2 pi i N xi0 (x_j + w)),
 
-with integer images w = -W..W.  Truncation at W = 5 and sigma = 1 leaves
-the raw vector unit-normalized to better than 1e-10 for N >= 16; the
-constructor normalizes exactly anyway.  Position spread is sqrt(sigma/
-(2 pi N)) and momentum spread sqrt(1/(2 pi N sigma)): a symmetric
-microscope at sigma = 1.
+with integer images w = -W..W.  The squeeze is fixed at sigma = 1, so
+position and momentum spreads are both sqrt(1/(2 pi N)): a symmetric
+microscope.  Truncation at W = CoherentFrame.image_radius = 5 leaves the
+raw vector unit-normalized to better than 1e-10 for N >= 16; the
+constructor normalizes exactly anyway.
 
 The Husimi field samples H(x, xi) = N |<coh(x, xi), u>|^2 on a grid of
 cell centres, so that the plain grid average of the stored values
@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import ClassVar, Tuple, Union
 
 import numpy as np
 
-from .classical import BakerSpec, trapped_cover
+from .classical import DENSE_GUARD, BakerSpec, trapped_cover
 from .errors import DimensionGuard, UnnormalizedInput
-from .quantize import DENSE_GUARD
 
 __all__ = [
     "CoherentFrame",
@@ -57,24 +56,19 @@ MIN_GRID = 32
 
 @dataclass(frozen=True)
 class CoherentFrame:
-    """Parameters shared by a family of coherent states.
+    """Parameters shared by a family of coherent states at sigma = 1.
 
-    squeeze rescales the position variance (sigma); image_radius is the
-    number W of periodization images kept on each side.
+    image_radius is the number W of periodization images kept on each
+    side, the same for every frame.
     """
 
     dimension: int
     bloch: Tuple[float, float] = (0.0, 0.0)
-    squeeze: float = 1.0
-    image_radius: int = 5
+    image_radius: ClassVar[int] = 5
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("frame dimension must be >= 1")
-        if self.squeeze <= 0:
-            raise ValueError("squeeze must be positive")
-        if self.image_radius < 1:
-            raise ValueError("need at least one periodization image")
 
     @property
     def lattice(self) -> np.ndarray:
@@ -85,14 +79,12 @@ class CoherentFrame:
 def coherent_state_raw(frame: CoherentFrame, x0: float, xi0: float) -> np.ndarray:
     """Periodized Gaussian before normalization (norm is 1 to ~1e-10)."""
     N = frame.dimension
-    sigma = frame.squeeze
     x = frame.lattice
     psi = np.zeros(N, dtype=complex)
     for w in range(-frame.image_radius, frame.image_radius + 1):
         xw = x + w
-        psi += np.exp(-np.pi * N * (xw - x0) ** 2 / sigma
-                      + 2j * np.pi * N * xi0 * xw)
-    return (2.0 / (N * sigma)) ** 0.25 * psi
+        psi += np.exp(-np.pi * N * (xw - x0) ** 2 + 2j * np.pi * N * xi0 * xw)
+    return (2.0 / N) ** 0.25 * psi
 
 
 def coherent_state(frame: CoherentFrame, x0: float, xi0: float) -> np.ndarray:
@@ -176,7 +168,7 @@ def husimi_field(state: np.ndarray, frame: CoherentFrame,
     folded = np.empty((gx, gxi), dtype=complex)
     norms_sq = np.empty((gx, gxi))
     for a, x0 in enumerate(x_centers):
-        envelope = np.exp(-np.pi * (shift - N * x0) ** 2 / (N * frame.squeeze))
+        envelope = np.exp(-np.pi * (shift - N * x0) ** 2 / N)
         folded[a] = (envelope * windowed).reshape(-1, gxi).sum(axis=0)
         T = envelope[lead:lead + images * N].reshape(images, N)
         gram = T @ T.T

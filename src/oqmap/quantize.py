@@ -12,9 +12,8 @@ M_N = U_N Pi.  No Fourier matrix is formed: M_N = apply(I[:, nz]) on the
 kept columns nz at O(N |nz| log N), and U_N = apply(I) only on demand.
 A spectrum needs only M_N[nz, nz], which holds M_N's eigenvalues but
 N - |nz| exact zeros.  _kept_columns hands out M_N[:, nz] from the same
-applies, 64 columns at a time, _kept_block cuts M_N[nz, nz] from those
-chunks, and _open_columns hands out M_N itself in chunks, so only
-quantize_open forms the N x N array.
+applies, 64 columns at a time, and _open_columns M_N itself; _joined
+fills every dense array here from such chunks, one chunk at a time.
 M_N is a partial isometry: its singular values are exactly
 N*sum(ell_kept) ones and the rest zeros, so all eigenvalues lie in the
 closed unit disk and model resonances with lifetimes
@@ -54,11 +53,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classical import BakerSpec, _power_exceeds, spec_digest, symmetric_spec
+from .classical import (
+    DENSE_GUARD,
+    BakerSpec,
+    _power_exceeds,
+    spec_digest,
+    symmetric_spec,
+)
 from .errors import (
     DimensionGuard,
     DivisibilityError,
@@ -76,10 +81,6 @@ __all__ = [
     "walsh_open",
     "apply_diagonal_phases",
 ]
-
-# Dense complex storage and O(N^3) factorizations cap the practical size.
-DENSE_GUARD = 5000
-
 
 @dataclass(frozen=True)
 class QuantizationConfig:
@@ -128,8 +129,10 @@ class OpenQuantization:
     @property
     def unitary(self) -> QuantizedMap:
         sizes, bloch = self.open_map.block_sizes, self.open_map.bloch
-        return replace(self.open_map, kind="closed_unitary",
-                       matrix=_block_columns(sizes, range(len(sizes)), bloch))
+        N = sum(sizes)
+        U = _joined((_block_inverse(sizes, i, bloch, lo, hi)
+                     for i, lo, hi in _column_chunks(sizes)), N, N)
+        return replace(self.open_map, kind="closed_unitary", matrix=U)
 
 
 def _gdft_apply(X: np.ndarray, bloch: Tuple[float, float],
@@ -164,6 +167,9 @@ def _gdft_apply(X: np.ndarray, bloch: Tuple[float, float],
 
 
 def _block_sizes(spec: BakerSpec, N: int) -> Tuple[int, ...]:
+    """The block sizes N*ell_i, once N has passed the dense guard."""
+    if N > DENSE_GUARD:
+        raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
     sizes = []
     for i, ell in enumerate(spec.lengths):
         width = ell * N
@@ -190,22 +196,17 @@ def _block_inverse(sizes: Tuple[int, ...], i: int, bloch: Tuple[float, float],
     return _gdft_apply(inner, bloch, inverse=True, overwrite=True)
 
 
-def _block_columns(sizes: Tuple[int, ...], blocks: Sequence[int],
-                   bloch: Tuple[float, float]) -> np.ndarray:
-    """U's columns for the given blocks, zero elsewhere."""
-    N = sum(sizes)
-    out = np.zeros((N, N), dtype=complex)
-    for i in blocks:
-        out[:, sum(sizes[:i]):sum(sizes[:i + 1])] = _block_inverse(sizes, i, bloch)
+def _joined(chunks: Iterable[np.ndarray], rows: int, cols: int,
+            take=slice(None)) -> np.ndarray:
+    """The new rows x cols array of the chunks' columns, left to right,
+    each chunk cut to its rows take and dropped before the next is drawn."""
+    out = np.empty((rows, cols), dtype=complex)
+    done = 0
+    for chunk in chunks:
+        out[:, done:done + chunk.shape[1]] = chunk[take]
+        done += chunk.shape[1]
+        del chunk  # freed before the next chunk is built, not after
     return out
-
-
-def _guarded_sizes(spec: BakerSpec, config: QuantizationConfig) -> Tuple[int, ...]:
-    """The block sizes N*ell_i, once N has passed the dense guard."""
-    N = config.dimension
-    if N > DENSE_GUARD:
-        raise DimensionGuard(f"N={N} exceeds dense guard {DENSE_GUARD}")
-    return _block_sizes(spec, N)
 
 
 def _column_chunks(sizes: Tuple[int, ...]) -> Iterator[Tuple[int, int, int]]:
@@ -226,7 +227,7 @@ def _kept_columns(spec: BakerSpec, config: QuantizationConfig
     not zero.  The guards run before the call returns; each chunk is a
     new array, so a consumer that drops each one holds one at a time.
     """
-    sizes = _guarded_sizes(spec, config)
+    sizes = _block_sizes(spec, config.dimension)
     nz = np.concatenate([np.arange(sum(sizes[:i]), sum(sizes[:i + 1]))
                          for i in spec.keep])
     chunks = (_block_inverse(sizes, i, config.bloch, lo, hi)
@@ -242,13 +243,7 @@ def _kept_block(spec: BakerSpec, config: QuantizationConfig) -> np.ndarray:
     are M's bit for bit, and the transients are N x 64.
     """
     nz, chunks = _kept_columns(spec, config)
-    block = np.empty((nz.size, nz.size), dtype=complex)
-    done = 0
-    for chunk in chunks:
-        block[:, done:done + chunk.shape[1]] = chunk[nz]
-        done += chunk.shape[1]
-        del chunk  # freed before the next chunk is built, not after
-    return block
+    return _joined(chunks, nz.size, nz.size, nz)
 
 
 def _open_columns(spec: BakerSpec,
@@ -257,20 +252,22 @@ def _open_columns(spec: BakerSpec,
     _column_chunks chunks: a kept block's from _block_inverse, a removed
     block's +0.0.
 
-    Joined, they are quantize_open(spec, config).open_map.matrix bit for
-    bit; each chunk is a new array, so a consumer holds one at a time.
+    quantize_open joins them; each chunk is a new array, so a consumer
+    holds one at a time.
     """
-    sizes = _guarded_sizes(spec, config)
+    sizes = _block_sizes(spec, config.dimension)
     for i, lo, hi in _column_chunks(sizes):
         yield (_block_inverse(sizes, i, config.bloch, lo, hi) if i in spec.keep
                else np.zeros((config.dimension, hi - lo), dtype=complex))
 
 
 def quantize_open(spec: BakerSpec, config: QuantizationConfig) -> OpenQuantization:
-    """M = U Pi, built on the kept blocks' columns only (the rest hold +0)."""
-    sizes = _guarded_sizes(spec, config)
+    """M = U Pi, joined from the _open_columns chunks: the kept blocks'
+    columns, and +0 in the rest."""
+    N = config.dimension
+    sizes = _block_sizes(spec, N)
     diag = np.repeat([float(i in spec.keep) for i in range(len(sizes))], sizes)
-    open_map = QuantizedMap(_block_columns(sizes, spec.keep, config.bloch),
+    open_map = QuantizedMap(_joined(_open_columns(spec, config), N, N),
                             "open_standard", spec_digest(spec), spec.keep, sizes,
                             config.bloch)
     return OpenQuantization(projector=diag, open_map=open_map)
@@ -305,11 +302,10 @@ class WalshModel:
     def open_map(self) -> QuantizedMap:
         k, N = self.word_length, self.dimension
         width = self.branch_count ** (k - k // 2)
-        M = np.empty((N, N), dtype=complex)
-        for b in range(N // width):
-            # np.eye(N, width, -b * width) is I[:, b * width:(b + 1) * width]
-            M[:, b * width:(b + 1) * width] = _walsh_apply(
-                self.omega, np.eye(N, width, -b * width, dtype=complex))
+        # np.eye(N, width, -b * width) is I[:, b * width:(b + 1) * width]
+        M = _joined((_walsh_apply(self.omega,
+                                  np.eye(N, width, -b * width, dtype=complex))
+                     for b in range(N // width)), N, N)
         # BLAS leaves -0.0 where Omega meets the identity's zeros; adding
         # +0.0 turns them into +0.0, so M has the bits of a direct scatter
         M += 0.0

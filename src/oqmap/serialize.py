@@ -102,16 +102,21 @@ def _write_text(path: PathLike, pieces: Iterable[str], end: str = "") -> Path:
     """Each piece followed by end, as UTF-8 with LF newlines: the pieces
     are buffered, and joined and written before the buffer would pass
     _FLUSH characters, so a write holds at most _FLUSH of them or one
-    longer piece."""
+    longer piece, which is written at once, not held while the next is made."""
     path = Path(path)
     with _removed_on_failure(path, "w", encoding="utf-8", newline="\n") as fh:
         buffer, size = [], 0
         for piece in pieces:
-            if size + len(piece) > _FLUSH and buffer:
+            cost = len(piece) + len(end)
+            if size + cost > _FLUSH and buffer:
                 fh.write(end.join(buffer) + end)
                 buffer, size = [], 0
-            buffer.append(piece)
-            size += len(piece) + len(end)
+            if cost > _FLUSH:
+                fh.write(piece + end)
+            else:
+                buffer.append(piece)
+                size += cost
+            del piece  # nor held by the loop variable
         if buffer:
             fh.write(end.join(buffer) + end)
     return path

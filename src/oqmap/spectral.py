@@ -37,9 +37,10 @@ K.  Ordered as (sweep 1, ..., sweep p, K), M is block upper triangular,
 
 with Nil strictly block upper triangular, hence nilpotent.  So the
 spectrum is eig(M_KK) and N - |K| exact zeros, and QR runs on the
-|K| x |K| block alone.  A standard map deflates in one sweep (K = its
-nonzero columns); a Walsh map on k-digit words takes k sweeps and ends
-at the n^k words of kept digits.  An eigenvector of M_KK lifts to one
+|K| x |K| block alone; _with_zeros appends the zeros to the sorted core
+eigenvalues.  A standard map deflates in one sweep (K = its nonzero
+columns); a Walsh map on k-digit words takes k sweeps and ends at the
+n^k words of kept digits.  An eigenvector of M_KK lifts to one
 of M by back substitution over the sweeps; a dropped index j gets e_j,
 an exact null vector when j falls in sweep 1.
 """
@@ -54,7 +55,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classical import BakerSpec, trapped_cover
+from .classical import DENSE_GUARD, BakerSpec, trapped_cover
 from .errors import (
     CoverTooFine,
     DimensionGuard,
@@ -63,7 +64,7 @@ from .errors import (
     SingularResolvent,
     SolverFailure,
 )
-from .quantize import DENSE_GUARD, QuantizationConfig, QuantizedMap, _guarded_sizes
+from .quantize import QuantizationConfig, QuantizedMap, _block_sizes
 
 __all__ = [
     "Spectrum",
@@ -116,6 +117,17 @@ def _qr_bound(N: int, frobenius: float) -> float:
     """The a priori backward error bound 4 N eps ||M||_F of QR on an
     N x N matrix M with Frobenius norm frobenius."""
     return 4.0 * N * np.finfo(float).eps * frobenius
+
+
+def _with_zeros(values: np.ndarray, N: int, frobenius: float,
+                vectors: Optional[np.ndarray] = None) -> Spectrum:
+    """The Spectrum of an N x N map from its exact core's sorted
+    eigenvalues: those, then the N - |K| exact zeros, which sort last and
+    stably, and QR's bound on the map, whose Frobenius norm is frobenius
+    (the zeros are exact and the core is a submatrix of the map)."""
+    zeros = np.zeros(N - len(values), dtype=values.dtype)
+    return Spectrum(np.concatenate([values, zeros]), vectors,
+                    _qr_bound(N, frobenius))
 
 
 def _core(M: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
@@ -185,22 +197,20 @@ def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
     """Full nonhermitian eigendecomposition with deterministic ordering.
 
     QR runs on the exact core block M[K, K] alone (see the module
-    docstring); the spectrum is its eigenvalues padded with N - |K|
-    exact zeros.  With want_vectors, each core eigenvector is lifted to
-    a unit eigenvector of M, and each dropped index j gets e_j, in sweep
-    order.  QR's eigenvector array is sorted in place; it is the result
-    when no sweep drops an index, and else the N x N array is built once.
-    The backward error bound is taken on the full M: the zeros are
-    exact, and M[K, K] is a submatrix of M, so QR's backward error on it
-    is within the bound.
+    docstring); its eigenvalues are sorted and completed by _with_zeros
+    with the N - |K| exact zeros and the bound on the full M.  With
+    want_vectors, each core eigenvector is lifted to a unit eigenvector
+    of M, and each dropped index j gets e_j, in sweep order.  QR's
+    eigenvector array is sorted in place; it is the result when no sweep
+    drops an index, and else the N x N array is built once.
     """
     M = _as_matrix(matrix)
     N = M.shape[0]
     if N > DENSE_GUARD:
         raise DimensionGuard(f"N={N} exceeds dense eigensolver guard {DENSE_GUARD}")
-    bound = _qr_bound(N, float(np.linalg.norm(M, "fro")))
+    frobenius = float(np.linalg.norm(M, "fro"))
     # LAPACK refuses non-finite input; the dropped part must not let one by
-    if not math.isfinite(bound):
+    if not math.isfinite(frobenius):
         raise SolverFailure("eigensolver input has a non-finite entry or norm")
     core, sweeps = _core(M)
     # a core of every index (no sweep dropped one) is M itself: no copy
@@ -214,21 +224,20 @@ def eigen_decompose(matrix: MatrixLike, want_vectors: bool = False) -> Spectrum:
         raise SolverFailure(f"eigensolver did not converge: {exc}") from exc
 
     k = core.size
-    values = np.concatenate([values, np.zeros(N - k, dtype=values.dtype)])
     order = np.lexsort((values.imag, values.real, -np.abs(values)))
     values = values[order]
     vectors = None
     if want_vectors:
-        # the padded zeros sort last and stably, so the core eigenvalues
-        # take the first k places and the dropped indices the rest
-        _permute_columns(Y, order[:k])
+        # the zeros sort after the core eigenvalues, so those take the
+        # first k places and the dropped indices the rest
+        _permute_columns(Y, order)
         vectors = Y
         if sweeps:
             vectors = np.zeros((N, N), dtype=Y.dtype)
             vectors[core, :k] = Y
             vectors[np.concatenate(sweeps), np.arange(k, N)] = 1.0
-        _lift(M, core, sweeps, values[:k], vectors[:, :k])
-    return Spectrum(values, vectors, bound)
+        _lift(M, core, sweeps, values, vectors[:, :k])
+    return _with_zeros(values, N, frobenius, vectors)
 
 
 @dataclass(frozen=True)
@@ -356,7 +365,7 @@ def trapped_quasiprojector(spec: BakerSpec, config: QuantizationConfig,
     raises DimensionGuard before the diagonal is allocated.
     """
     N = config.dimension
-    _guarded_sizes(spec, config)  # the dense guard, then N*ell_i integral
+    _block_sizes(spec, N)  # the dense guard, then N*ell_i integral
     if level == 0:
         return Quasiprojector(np.ones(N), 0, N)
     if level < 0:

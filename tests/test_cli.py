@@ -1275,21 +1275,46 @@ print(oqmap.cli._kept_block is patched)
 
 
 def test_parse_dimensions_before_any_command():
-    # its dense guard comes from the numeric layers, which no command has
-    # loaded yet in a new interpreter
-    code = "import oqmap.cli; print(oqmap.cli.parse_dimensions('4:8:2'))"
-    assert fresh_python(code).stdout.strip() == "[4, 6, 8]"
+    # its dense guard is the classical layer's, so no command has loaded
+    # the numeric layers in a new interpreter, and the call loads none
+    code = ("import sys, oqmap.cli; print(oqmap.cli.parse_dimensions('4:8:2')); "
+            "print('numpy' in sys.modules)")
+    assert fresh_python(code).stdout.split() == ["[4,", "6,", "8]", "False"]
+
+
+def test_module_getattr_binds_the_numeric_layers():
+    # before any command, a numeric name read from outside binds the
+    # numeric layers; an unknown name is refused, and a dunder lookup
+    # loads no numpy
+    code = """
+import sys, oqmap.cli
+try:
+    oqmap.cli.__wrapped__
+except AttributeError:
+    print("dunder refused")
+print("numpy" in sys.modules, "eigen_decompose" in vars(oqmap.cli))
+found = oqmap.cli.eigen_decompose
+import oqmap.spectral
+print(found is oqmap.spectral.eigen_decompose)
+try:
+    oqmap.cli.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert fresh_python(code).stdout.splitlines() == [
+        "dunder refused", "False False", "True",
+        "module 'oqmap.cli' has no attribute 'no_such_name'"]
 
 
 # the layer names oqmap.cli bound by its imports when every layer loaded
 # with it; the benchmark's tracer wraps the functions among them
 CLI_LAYER_NAMES = {
-    classical: ("INTERVAL_GUARD", "_DIGIT_GUARD", "BakerSpec",
+    classical: ("DENSE_GUARD", "INTERVAL_GUARD", "_DIGIT_GUARD", "BakerSpec",
                 "cantor_dimension", "escape_report", "spec_digest",
                 "thermo_report", "validate_spec"),
     phasespace: ("CoherentFrame", "_validate_grid", "husimi_report",
                  "merged_strip_cover"),
-    quantize: ("DENSE_GUARD", "QuantizationConfig", "_block_sizes",
+    quantize: ("QuantizationConfig", "_block_sizes", "_joined",
                "_kept_block", "_kept_columns", "_open_columns",
                "_phase_factors", "walsh_open"),
     oqmap.serialize: ("fmt_float", "sha256_file", "write_counts_csv",
@@ -1298,7 +1323,7 @@ CLI_LAYER_NAMES = {
                       "write_matrix", "write_matrix_csv",
                       "write_spectrum_csv"),
     spectral: ("_check_m_max", "_check_nu", "_check_probes", "_check_radii",
-               "_qr_bound", "count_profile", "effective_hamiltonian",
+               "_with_zeros", "count_profile", "effective_hamiltonian",
                "eigen_decompose", "trapped_quasiprojector", "weyl_fit"),
 }
 

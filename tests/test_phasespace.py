@@ -87,10 +87,6 @@ class TestCoherentStates:
     def test_frame_validation(self):
         with pytest.raises(ValueError):
             CoherentFrame(0)
-        with pytest.raises(ValueError):
-            CoherentFrame(8, squeeze=0.0)
-        with pytest.raises(ValueError):
-            CoherentFrame(8, image_radius=0)
 
     def test_bloch_offsets_lattice(self):
         frame = CoherentFrame(4, (0.5, 0.5))
@@ -199,8 +195,8 @@ def direct_sum_field(state, frame, grid):
         psi = np.zeros((gxi, N), dtype=complex)  # one state per xi_b
         for w in range(-W, W + 1):
             n = j + w * N
-            envelope = np.exp(-np.pi * (n + frame.bloch[0] - N * x0) ** 2
-                              / (N * frame.squeeze))
+            # sigma = 1
+            envelope = np.exp(-np.pi * (n + frame.bloch[0] - N * x0) ** 2 / N)
             # e^{2 pi i xi_b n} with xi_b = (2b + 1) / (2 gxi)
             psi += envelope * np.exp(1j * np.pi * (odd * n % (2 * gxi)) / gxi)
         overlaps = psi.conj() @ u
@@ -219,8 +215,8 @@ def direct_gemm_field(state, frame, grid):
     xi_centers = (np.arange(gxi) + 0.5) / gxi
     x = frame.lattice
     images = range(-frame.image_radius, frame.image_radius + 1)
-    envelopes = [np.exp(-np.pi * N * (x[None, :] + w - x_centers[:, None]) ** 2
-                        / frame.squeeze) for w in images]
+    envelopes = [np.exp(-np.pi * N * (x[None, :] + w - x_centers[:, None]) ** 2)
+                 for w in images]  # sigma = 1
     values = np.empty((gx, gxi))
     for b, xi0 in enumerate(xi_centers):
         S = np.zeros((gx, N), dtype=complex)

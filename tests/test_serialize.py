@@ -611,6 +611,39 @@ class TestStreamingWriters:
         assert len(writes) > 3
         assert all(len(w) <= _FLUSH or w == long_piece + "\n" for w in writes)
 
+    def test_long_piece_is_written_before_the_next_is_made(self, tmp_path,
+                                                          monkeypatch):
+        # a piece past _FLUSH is not held while the producer builds the
+        # next one, as it was when it waited in the buffer
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        @contextmanager
+        def recorded(path, mode, **kwargs):
+            yield Recorder()
+
+        monkeypatch.setattr(serialize, "_removed_on_failure", recorded)
+        long_piece = "y" * (_FLUSH + 7)
+        seen = []
+
+        def pieces():
+            yield "x" * 100
+            yield long_piece
+            seen.append(list(writes))  # resumed: the next piece is asked for
+            yield long_piece + "z"
+            seen.append(list(writes))
+            yield "w" * 10
+
+        serialize._write_text(tmp_path / "x.txt", pieces(), "\n")
+        assert seen == [["x" * 100 + "\n", long_piece + "\n"],
+                        ["x" * 100 + "\n", long_piece + "\n",
+                         long_piece + "z\n"]]
+        assert "".join(writes) == "\n".join(
+            ["x" * 100, long_piece, long_piece + "z", "w" * 10]) + "\n"
+
     @pytest.mark.parametrize("items", [
         pytest.param([0.5] * _BATCH + [math.nan] + [0.25] * _BATCH,
                      id="nan opens the second slice"),
