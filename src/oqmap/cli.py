@@ -22,11 +22,12 @@ failing the N*ell_i divisibility requirement are skipped and listed in
 the manifest.  No command forms the N x N map M = U Pi: M vanishes off
 its kept columns nz, and every command reads it through those columns.
 The eigenvalue-only commands (spectrum, count, radius-scan, weyl-fit)
-solve it through _open_spectrum, on its kept block M[nz, nz] alone,
-husimi lifts one eigenvector of that block to M through _open_mode, and
-effective reduces the pair (nz, M[:, nz]).  spectrum --dump-matrix
-streams M in column chunks.  Sweeps over dimensions solve them
-concurrently, one per usable core.
+solve it through _open_spectrum, on its kept block M[nz, nz] alone.
+husimi takes its eigenvalue from the same solve, finds the one
+eigenvector of that block it maps by inverse iteration, and lifts it to
+M through _open_mode; effective reduces the pair (nz, M[:, nz]).
+spectrum --dump-matrix streams M in column chunks.  Sweeps over
+dimensions solve them concurrently, one per usable core.
 
 The exact classical commands (escape, thermo) run on the standard
 library alone: numpy and the numeric layers (quantize, spectral,
@@ -347,20 +348,55 @@ def cmd_escape(args, out: Path):
     return outputs, digest, ()
 
 
-def _open_spectrum(spec: BakerSpec, config: QuantizationConfig,
-                   want_vectors: bool = False) -> Spectrum:
-    """The eigenvalues of M = U Pi, solved on its kept block M[nz, nz].
+def _block_spectrum(block: np.ndarray, N: int) -> Spectrum:
+    """The eigenvalues of an N x N map M = U Pi from its kept block
+    M[nz, nz].
 
     M vanishes off the kept columns nz, so its spectrum is the block's
     and N - |nz| exact zeros.  Those columns are orthonormal columns of
-    the unitary U, so ||M||_F = sqrt(|nz|) exactly.  With want_vectors,
-    .vectors holds the block's unit eigenvectors, |nz| x |nz|, in the
-    order of the first |nz| eigenvalues.
+    the unitary U, so ||M||_F = sqrt(|nz|) exactly.
     """
-    block = _kept_block(spec, config)
-    core = eigen_decompose(block, want_vectors)
-    return _with_zeros(core.eigenvalues, config.dimension,
-                       math.sqrt(len(block)), core.vectors)
+    return _with_zeros(eigen_decompose(block).eigenvalues, N,
+                       math.sqrt(len(block)))
+
+
+def _open_spectrum(spec: BakerSpec, config: QuantizationConfig) -> Spectrum:
+    """The eigenvalues of M = U Pi, solved on its kept block M[nz, nz]."""
+    return _block_spectrum(_kept_block(spec, config), config.dimension)
+
+
+def _start_vector(k: int) -> np.ndarray:
+    """The fixed start of inverse iteration: seeded complex Gaussian
+    entries, which share no symmetry with a map.  An all-ones start is
+    mirror-even, so it misses the mirror-odd modes at Bloch (1/2, 1/2)
+    but for rounding, and two solves leave them 10 to 1000 times the
+    residual."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(k) + 1j * rng.standard_normal(k)
+
+
+def _inverse_iteration(block: np.ndarray, value: complex) -> np.ndarray:
+    """A unit eigenvector of block for its computed eigenvalue value, by
+    two steps of inverse iteration from _start_vector; block is shifted
+    to block - value I in place.
+
+    Each solve is backward stable, so a computed eigenvalue, exact for a
+    nearby matrix, makes the solution large along its eigenvector.  A
+    shift that is exactly singular (the solve raises LinAlgError) moves
+    by eps sqrt(k), eps times the bound on ||block||_F, as LAPACK's
+    inverse iteration replaces a zero pivot, and the solve runs again.
+    """
+    k = len(block)
+    block.flat[::k + 1] -= value
+    x = _start_vector(k)
+    for _ in range(2):
+        try:
+            x = np.linalg.solve(block, x)
+        except np.linalg.LinAlgError:
+            block.flat[::k + 1] -= np.finfo(float).eps * math.sqrt(k)
+            x = np.linalg.solve(block, x)
+        x /= np.linalg.norm(x)
+    return x
 
 
 def _lift_mode(v: np.ndarray, Mv: np.ndarray, value: complex,
@@ -381,24 +417,26 @@ def _open_mode(spec: BakerSpec, config: QuantizationConfig, rank: int):
     error bound) of the eigenpair of M = U Pi at rank, in the descending
     order of eigen_decompose, solved on the kept block M[nz, nz].
 
-    A rank below |nz| lifts the block's eigenvector by _lift_mode; the
-    others are M's exact zeros, and rank |nz| + i gets e_j for j the i-th
-    index off nz, as eigen_decompose of M orders its dropped indices.
-    The product M v = M[:, nz] v[nz], which the lift and the residual
-    share, takes one pass over the _kept_columns chunks.
+    The eigenvalue and the bound are those of _block_spectrum, which
+    spectrum and count write.  A rank below |nz| takes the block's
+    eigenvector from _inverse_iteration and lifts it by _lift_mode; the
+    others are M's exact zeros, and rank |nz| + i gets e_j for j the
+    i-th index off nz, as eigen_decompose of M orders its dropped
+    indices.  The product M v = M[:, nz] v[nz], which the lift and the
+    residual share, takes one pass over the _kept_columns chunks.
     """
-    spectrum = _open_spectrum(spec, config, want_vectors=True)
+    N = config.dimension
+    block = _kept_block(spec, config)
+    spectrum = _block_spectrum(block, N)
     value = complex(spectrum.eigenvalues[rank])
     nz, chunks = _kept_columns(spec, config)
-    N, k = config.dimension, nz.size
+    k = nz.size
     rest = np.setdiff1d(np.arange(N), nz)
     v = np.zeros(N, dtype=complex)
     if rank < k:
-        v[nz] = spectrum.vectors[:, rank]
+        v[nz] = _inverse_iteration(block, value)
     else:
         v[rest[rank - k]] = 1.0
-    backward_error = spectrum.backward_error
-    del spectrum
     y = v[nz]
     Mv = np.zeros(N, dtype=complex)
     done = 0
@@ -409,7 +447,7 @@ def _open_mode(spec: BakerSpec, config: QuantizationConfig, rank: int):
     norm = np.linalg.norm(v)
     mode = v / norm
     residual = float(np.linalg.norm(Mv / norm - value * mode))
-    return value, mode, residual, backward_error
+    return value, mode, residual, spectrum.backward_error
 
 
 def cmd_spectrum(args, out: Path):

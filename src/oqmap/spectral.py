@@ -23,7 +23,8 @@ scan of its columns.  The bulk is cut to the bulk indices J in nz: off
 J the columns of B and D vanish, so B (I - D/lam)^{-1} C =
 B[:, J] K^{-1} C[J, :] with K = I - D[J, J]/lam, and (Sylvester's
 identity) the bulk radius and det(I - D/lam) are those of D[J, J].
-Powers of M are iterated on N x |nz| blocks.  The independent side of
+The residual norms need no N x |nz| power of M: each is read from a
+|nz| x |nz| Gram summed over row chunks.  The independent side of
 the identity is det(I - M[nz, nz]/lam): ordered (the rest, nz),
 I - M/lam is block upper triangular with an identity corner, so the two
 determinants are equal.
@@ -492,23 +493,36 @@ def residual_decay(matrix: ColumnsLike, projector: np.ndarray,
     ran(Pi): mass leaving the cover is never re-injected.
 
     An open map M = U Pi vanishes outside its nonzero columns nz, and so
-    does every power: M^m[:, nz] = M^{m-1}[:, nz] M[nz, nz].  The powers
-    are iterated on these N x |nz| blocks; the zero columns leave the
-    2-norm unchanged.  M is given dense or as the pair (nz, M[:, nz]);
-    a dense input, or one rotated by a matrix projector, is cut to that
-    pair by one scan.
+    does every power: M^m[:, nz] = M[:, nz] P^{m-1} with P = M[nz, nz].
+    The zero columns leave the 2-norm unchanged, so ||(I - Pi) M^m||_2 =
+    sqrt(lam_max(G_m)), with the |nz| x |nz| Gram G_m = sum_c R_c^* R_c of
+    the 64-row chunks R_c = M[rest_c, nz] P^{m-1} of (I - Pi) M^m, and
+    lam_max from eigvalsh.  Only P^{m-1}, G_m and one chunk are held
+    between steps: no N x |nz| power is formed and no SVD is run.  The
+    recursion G_m = P^* G_{m-1} P would be cheaper, but its rounding is
+    relative to ||G_{m-1}||, which can be far above ||G_m|| when the map
+    contracts; each chunk sum is rounded relative to its own G_m.  M is
+    given dense or as the pair (nz, M[:, nz]); a dense input, or one
+    rotated by a matrix projector, is cut to that pair by one scan.
     """
     _check_m_max(m_max)
-    nz, power, _, rest = _split(*_as_columns(matrix), projector)
-    step = power[nz]
+    nz, columns, _, rest = _split(*_as_columns(matrix), projector)
+    if not (rest.size and nz.size):
+        return (0.0,) * m_max
+    step = columns[nz]
 
     norms = []
+    power = None  # P^{m-1}; None stands for the identity at m = 1
     for m in range(1, m_max + 1):
-        # the N x |nz| block (I - Pi) M^m is freed once its norm is read
-        norms.append(float(np.linalg.norm(power[rest], 2))
-                     if rest.size and nz.size else 0.0)
+        gram = np.zeros((nz.size, nz.size), dtype=columns.dtype)
+        for lo in range(0, rest.size, 64):
+            chunk = columns[rest[lo:lo + 64]]
+            if power is not None:
+                chunk = chunk @ power
+            gram += chunk.conj().T @ chunk
+        norms.append(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
         if m < m_max:
-            power = power @ step
+            power = step if power is None else power @ step
     return tuple(norms)
 
 

@@ -97,6 +97,13 @@ def traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
+def open_mode(spec, config, rank):
+    """cli._open_mode called directly, with the numeric layers bound as
+    a command would bind them."""
+    oqmap.cli._bind_numeric()
+    return oqmap.cli._open_mode(spec, config, rank)
+
+
 def exit_status(argv):
     """The process exit code: argparse usage errors raise SystemExit."""
     try:
@@ -612,6 +619,9 @@ class TestDenseOracle:
     @pytest.mark.parametrize("spec_argv,N,bloch", HUSIMI_ORACLE_CASES)
     def test_husimi_mode_equals_the_dense_path(self, tmp_path, spec_argv, N,
                                                bloch):
+        # the oracle is the dense eig of the full M; the kept block's
+        # eigvals and inverse iteration round differently, so the eigenvalue
+        # agrees within the backward error and the mode up to its phase
         spec = validate_spec(parse_partition(spec_argv[1], False),
                              parse_keep(spec_argv[3]))
         config = QuantizationConfig(N, parse_bloch(bloch))
@@ -619,25 +629,49 @@ class TestDenseOracle:
         dense = eigen_decompose(qmap, want_vectors=True)
         kept = len(oqmap.quantize._kept_block(spec, config))
         for rank in (0, 3, kept):
-            value, mode, residual, _ = oqmap.cli._open_mode(spec, config, rank)
+            value, mode, residual, backward_error = open_mode(spec, config,
+                                                              rank)
+            assert abs(value - dense.eigenvalues[rank]) <= backward_error
             want = dense.vectors[:, rank] / np.linalg.norm(dense.vectors[:, rank])
-            assert np.abs(mode - want).max() <= 1e-15, rank
+            phase = np.vdot(mode, want)
+            assert np.abs(mode * phase / abs(phase) - want).max() <= 1e-12, rank
             assert residual <= 1e-12
             out = tmp_path / str(rank)
             assert run(["husimi", *spec_argv, "--N", N, "--bloch", bloch,
                         "--mode-rank", rank, "--grid", "32",
                         "--outdir", out]) == 0
             got = load(out / "husimi.json")
-            eigenvalue = complex(dense.eigenvalues[rank])
-            modulus = abs(eigenvalue)
-            assert value == eigenvalue
-            assert got["eigenvalue"] == {"re": eigenvalue.real,
-                                         "im": eigenvalue.imag}
+            modulus = abs(value)
+            assert got["eigenvalue"] == {"re": value.real, "im": value.imag}
             assert got["modulus"] == modulus
             assert got["lifetime"] == (
                 "inf" if modulus == 0 else -2.0 * math.log(modulus))
             assert got["mode_residual"] == residual
+            assert got["backward_error"] == backward_error
         assert dense.eigenvalues[kept - 1] != 0 == dense.eigenvalues[kept]
+
+    @pytest.mark.parametrize("spec_argv,N", [
+        pytest.param(D3, 486, id="D3-486"),
+        pytest.param(D5, 500, id="D5-500"),
+    ])
+    def test_husimi_eigenvalue_is_the_spectrum_row(self, tmp_path, spec_argv,
+                                                   N):
+        # one spectrum rule: husimi and spectrum solve the same kept block
+        bloch = "0.3,0.7"
+        assert run(["spectrum", *spec_argv, "--N", N, "--bloch", bloch,
+                    "--outdir", tmp_path]) == 0
+        rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+        for rank in (0, 3):
+            out = tmp_path / str(rank)
+            assert run(["husimi", *spec_argv, "--N", N, "--bloch", bloch,
+                        "--mode-rank", rank, "--grid", "32",
+                        "--outdir", out]) == 0
+            got = load(out / "husimi.json")
+            index, re, im, modulus, _ = rows[rank].split(",")
+            assert int(index) == rank
+            assert (fmt_float(got["eigenvalue"]["re"]),
+                    fmt_float(got["eigenvalue"]["im"]),
+                    fmt_float(got["modulus"])) == (re, im, modulus)
 
     # spec, N, level, Bloch phases: the criterion-12 effective run and the
     # two effective commands of the benchmark
@@ -915,6 +949,64 @@ class TestHusimi:
         assert run(["husimi", *D5, "--N", "500", "--grid", "32",
                     "--outdir", tmp_path]) == 0
         assert load(tmp_path / "husimi.json")["mode_residual"] > 1e-3
+
+    @staticmethod
+    def mirror_odd_residuals():
+        """mode_residual of ranks 0-3 at D3 N=243, Bloch (1/2, 1/2), where
+        R: j -> N-1-j commutes with M and all four modes are R-odd."""
+        spec = symmetric_spec(3, (0, 2))
+        config = QuantizationConfig(243, (0.5, 0.5))
+        residuals = []
+        for rank in range(4):
+            _, mode, residual, _ = open_mode(spec, config, rank)
+            assert np.abs(mode[::-1] + mode).max() <= 1e-10
+            residuals.append(residual)
+        return residuals
+
+    def test_mirror_odd_modes_converge(self):
+        assert max(self.mirror_odd_residuals()) <= 1e-14
+
+    def test_mirror_odd_modes_catch_a_mirror_even_start(self, monkeypatch):
+        # mutation check: an all-ones start is R-even, so inverse
+        # iteration amplifies only the rounding along the R-odd modes
+        monkeypatch.setattr(oqmap.cli, "_start_vector",
+                            lambda k: np.ones(k, dtype=complex))
+        assert max(self.mirror_odd_residuals()) > 1e-14
+
+    def test_singular_shift_takes_a_fixed_path(self, tmp_path, monkeypatch):
+        spec = symmetric_spec(5, (1, 3))
+        config = QuantizationConfig(125, (0.3, 0.7))
+        solve = np.linalg.solve
+        shifts = []
+
+        def singular_first(a, b):
+            # the first solve of each _open_mode reports an exactly
+            # singular shift
+            shifts.append(a.diagonal().copy())
+            if len(shifts) % 3 == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_first)
+        first = open_mode(spec, config, 2)
+        second = open_mode(spec, config, 2)
+        assert len(shifts) == 6
+        # the retry moves the shift by eps sqrt(k), up to the rounding of
+        # the diagonal's own subtraction
+        delta = np.finfo(float).eps * math.sqrt(len(shifts[0]))
+        assert np.abs(shifts[0] - shifts[1] - delta).max() <= 0.25 * delta
+        assert np.array_equal(shifts[1], shifts[2])
+        assert first[0] == second[0]
+        assert np.array_equal(first[1], second[1])
+        assert first[2] == second[2] <= 1e-12
+
+        # a shift still singular after the move is a numerical failure
+        def unsolvable(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", unsolvable)
+        assert run(["husimi", *D5, "--N", "125", "--grid", "32",
+                    "--outdir", tmp_path]) == 3
 
     def test_mode_rank_out_of_range(self, tmp_path):
         assert run(["husimi", *D3, "--N", "81", "--mode-rank", "81",

@@ -4,6 +4,7 @@ effective-Hamiltonian reduction with its determinant identity.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -698,6 +699,34 @@ class TestKeptColumns:
         M, projector, _ = CASES[case]
         assert_close(residual_decay(M, projector, 8),
                      full_power_residual_decay(M, projector, 8))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_residual_decay_of_a_contracting_map(self, case):
+        # 0.12 M: the norms fall to 1e-12 and below by m = 12, and each
+        # keeps its relative accuracy
+        M, projector, _ = CASES[case]
+        want = full_power_residual_decay(0.12 * M, projector, 12)
+        assert min(want) <= 2e-12
+        assert_close(residual_decay(0.12 * M, projector, 12), want)
+
+    def test_residual_decay_holds_no_power_of_the_columns(self):
+        # the audit holds |nz| x |nz| powers and Grams and one 64-row
+        # chunk, so it peaks below one N x |nz| array, 16 N |nz| bytes
+        N, k = 2000, 200
+        rng = np.random.default_rng(5)
+        nz = np.sort(rng.choice(N, k, replace=False))
+        columns = (rng.normal(size=(N, k))
+                   + 1j * rng.normal(size=(N, k))) / math.sqrt(2 * N)
+        projector = (np.arange(N) < N // 2).astype(float)
+        tracemalloc.start()
+        try:
+            norms = residual_decay((nz, columns), projector, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * N * k
+        assert_close(norms, full_power_residual_decay((nz, columns),
+                                                      projector, 6))
 
     @pytest.mark.parametrize("case", CASES)
     def test_report_matches_full_forms(self, case, monkeypatch):
